@@ -59,7 +59,7 @@ def embedding_hits(cb, tb, c):
     m = choose_m(cb, tb, 8, 3, EPS, DELTA, c)
     hits = 0
     for trial in range(TRIALS):
-        tree = TensorTree(factors, TreeConfig(cb, tb, m, EPS, DELTA, False, 30_000 + trial))
+        tree = TensorTree(factors, TreeConfig(cb, tb, m, seed=30_000 + trial))
         x = rng.standard_normal(8)
         ratio = np.linalg.norm(tree.root @ x) / np.linalg.norm(A @ x)
         hits += 0.5 <= ratio <= 1.5
@@ -71,7 +71,7 @@ def regression_hits(cb, tb, c):
     hits = 0
     for trial in range(TRIALS):
         factors, b = regression_instance(trial)
-        tree = TensorTree(factors, TreeConfig(cb, tb, m, EPS, DELTA, False, 50_000 + trial))
+        tree = TensorTree(factors, TreeConfig(cb, tb, m, seed=50_000 + trial))
         x = regression_query(tree, tree.sketch_vector(b))
         achieved = np.linalg.norm(kron_chain(factors) @ x - b)
         hits += achieved <= 1.5 * exact_kron_regression(factors, b).opt_cost
@@ -91,7 +91,7 @@ def spline_hits(cb, tb, c, lam):
         sd = statistical_dimension(kron_chain(factors), spline)
         m = max(choose_m(cb, tb, sd, 3, EPS, DELTA, c, eps_exponent=1), 8)
         ms.append(m)
-        tree = TensorTree(factors, TreeConfig(cb, tb, m, EPS, DELTA, False, 60_000 + trial))
+        tree = TensorTree(factors, TreeConfig(cb, tb, m, seed=60_000 + trial))
         x = spline_query(tree, tree.sketch_vector(b), spline)
         A = kron_chain(factors)
         achieved = np.linalg.norm(A @ x - b) ** 2 + lam * np.linalg.norm(L @ x) ** 2
@@ -105,7 +105,7 @@ def lowrank_hits(cb, tb, c, k=2):
     for trial in range(TRIALS):
         rng = np.random.default_rng(70_000 + trial)
         factors = [rng.standard_normal((8, 3)) for _ in range(2)]
-        tree = TensorTree(factors, TreeConfig(cb, tb, m, EPS, DELTA, False, 80_000 + trial))
+        tree = TensorTree(factors, TreeConfig(cb, tb, m, seed=80_000 + trial))
         C = materialize_lowrank(lowrank_query(tree, k))
         err = np.linalg.norm(C - kron_chain(factors))
         hits += err <= 1.5 * exact_lowrank(factors, k)

@@ -7,125 +7,27 @@ product regression, penalized (spline) regression, and low-rank
 approximation, together with exact brute-force oracles and a
 leverage-score sampling baseline for desk-scale verification. The bench
 module gives all of it a command line.
+
+The package namespace re-exports what the README quick start uses; the
+rest lives in the submodules (``linalg``, ``sketches``, ``tree``,
+``solvers``, ``oracle``, ``bench``).
 """
 
-from .linalg import (
-    DimensionError,
-    LstsqResult,
-    RegularizationError,
-    SparseVector,
-    as_matrix,
-    as_vector,
-    circular_convolve,
-    fwht,
-    kron,
-    kron_chain,
-    least_squares,
-    sym_generalized_eigs,
-    thin_svd,
-)
-from .sketches import (
-    BaseFamily,
-    BaseSketchSpec,
-    ConfigurationError,
-    TensorFamily,
-    TensorSketchSpec,
-    apply_base,
-    apply_tensor_cols,
-    apply_tensor_pair,
-    base_column,
-    base_columns,
-    choose_m,
-    materialize,
-    tensor_pair_vector,
-)
+from .linalg import kron_chain
+from .oracle import exact_kron_regression
+from .sketches import BaseFamily, TensorFamily, choose_m
+from .solvers import regression_query
 from .tree import TensorTree, TreeConfig
-from .solvers import (
-    LowRankResult,
-    SplineSpec,
-    lowrank_query,
-    materialize_lowrank,
-    regression_query,
-    spline_query,
-    statistical_dimension,
-)
-from .oracle import (
-    DegenerateInputError,
-    LeverageBaseline,
-    OracleSolution,
-    exact_kron_regression,
-    exact_lowrank,
-    exact_spline,
-    leverage_sample_regression,
-    leverage_scores,
-)
-from .bench import (
-    BenchRecord,
-    ParseError,
-    Scenario,
-    load_matrix,
-    load_sparse_vector,
-    read_report,
-    replay,
-    report,
-    save_matrix,
-    save_sparse_vector,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BaseFamily",
-    "BaseSketchSpec",
-    "BenchRecord",
-    "ConfigurationError",
-    "DegenerateInputError",
-    "DimensionError",
-    "LeverageBaseline",
-    "LowRankResult",
-    "LstsqResult",
-    "OracleSolution",
-    "ParseError",
-    "RegularizationError",
-    "Scenario",
-    "SparseVector",
-    "SplineSpec",
     "TensorFamily",
-    "TensorSketchSpec",
     "TensorTree",
     "TreeConfig",
-    "apply_base",
-    "apply_tensor_cols",
-    "apply_tensor_pair",
-    "as_matrix",
-    "as_vector",
-    "base_column",
-    "base_columns",
     "choose_m",
-    "circular_convolve",
     "exact_kron_regression",
-    "exact_lowrank",
-    "exact_spline",
-    "fwht",
-    "kron",
     "kron_chain",
-    "least_squares",
-    "leverage_sample_regression",
-    "leverage_scores",
-    "load_matrix",
-    "load_sparse_vector",
-    "lowrank_query",
-    "materialize",
-    "materialize_lowrank",
-    "read_report",
     "regression_query",
-    "replay",
-    "report",
-    "save_matrix",
-    "save_sparse_vector",
-    "spline_query",
-    "statistical_dimension",
-    "sym_generalized_eigs",
-    "tensor_pair_vector",
-    "thin_svd",
 ]

@@ -348,8 +348,7 @@ class _Run:
                     d *= f.shape[1]
                 m = _tree_sketch_dim(scenario, factors, d)
                 config = TreeConfig(
-                    BaseFamily(scenario.cbase), TensorFamily(scenario.tbase),
-                    m, scenario.eps, scenario.delta, scenario.adaptive, seed,
+                    scenario.cbase, scenario.tbase, m, scenario.adaptive, seed
                 )
                 self.tree = TensorTree(factors, config)
             if self.b is not None:
@@ -493,17 +492,20 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
+def _csv_lines(records) -> list[str]:
+    """The header, then one CSV row per record."""
+    return [CSV_HEADER] + [
+        f"{r.event},{r.kind},{r.wall_ns},{r.nodes_recomputed},"
+        f"{_fmt(r.cost)},{_fmt(r.oracle_cost)},{_fmt(r.ratio)}"
+        for r in records
+    ]
+
+
 def report(records, path) -> None:
     """Write records as CSV with the fixed header."""
     if not records:
         raise ValueError("no records to report")
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.event},{r.kind},{r.wall_ns},{r.nodes_recomputed},"
-            f"{_fmt(r.cost)},{_fmt(r.oracle_cost)},{_fmt(r.ratio)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(_csv_lines(records)) + "\n")
 
 
 def read_report(path) -> list[BenchRecord]:
@@ -565,46 +567,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", type=int, default=1,
                         help="aggregate this many consecutive seeds")
     parser.add_argument("--save-tree", dest="save_tree",
-                        help="write a KTTR1 snapshot after the run")
+                        help="write a KTTR2 tree snapshot (config, factors, "
+                             "specs, generation) after the run")
     parser.add_argument("--resume-tree", dest="resume_tree",
-                        help="rebuild the tree from a KTTR1 snapshot")
+                        help="rebuild the tree from a KTTR2 snapshot "
+                             "instead of building it from --factors")
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     args = _build_parser().parse_args(argv)
-    scenario = Scenario(
-        factors=args.factors,
-        label=args.label,
-        solver=args.solver,
-        cbase=args.cbase,
-        tbase=args.tbase,
-        eps=args.eps,
-        delta=args.delta,
-        cfactor=args.cfactor,
-        seed=args.seed,
-        adaptive=args.adaptive,
-        oracle=args.oracle,
-        stream=args.stream,
-        out=args.out,
-        spline_l=args.spline_l,
-        lam=args.lam,
-        rank=args.rank,
-        seeds=args.seeds,
-        resume_tree=args.resume_tree,
-        save_tree=args.save_tree,
-    )
+    scenario = Scenario(**vars(args))
     records = replay(scenario)
     if scenario.out:
         report(records, scenario.out)
     else:
-        print(CSV_HEADER)
-        for r in records:
-            print(
-                f"{r.event},{r.kind},{r.wall_ns},{r.nodes_recomputed},"
-                f"{_fmt(r.cost)},{_fmt(r.oracle_cost)},{_fmt(r.ratio)}"
-            )
+        print("\n".join(_csv_lines(records)))
     return 0
 
 

@@ -12,7 +12,6 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -130,32 +129,6 @@ def _hadamard_axis0(a: np.ndarray) -> np.ndarray:
         np.subtract(top, b[:, 1], out=b[:, 1])
         h *= 2
     return a
-
-
-def fwht(v) -> np.ndarray:
-    """Orthonormal fast Walsh-Hadamard transform of a power-of-two vector.
-
-    Returns H v with H the 1/sqrt(len)-scaled Walsh-Hadamard matrix in
-    natural (Sylvester) order; applying it twice recovers the input.
-    """
-    x = as_vector(v)
-    n = x.size
-    if n == 0 or n & (n - 1):
-        raise DimensionError(f"fwht length must be a power of two, got {n}")
-    out = x.copy().reshape(n, 1)
-    _hadamard_axis0(out)
-    return out.ravel() / math.sqrt(n)
-
-
-def circular_convolve(u, v) -> np.ndarray:
-    """Cyclic convolution out[r] = sum_j u[j] v[(r - j) mod s], via FFT."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.size != v.size:
-        raise DimensionError(f"length mismatch {u.size} vs {v.size}")
-    if u.size == 0:
-        raise DimensionError("empty vectors")
-    return np.fft.irfft(np.fft.rfft(u) * np.fft.rfft(v), n=u.size)
 
 
 class LstsqResult(NamedTuple):

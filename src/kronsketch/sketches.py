@@ -14,7 +14,7 @@ Kronecker columns u (x) v, which they consume as the pair (u, v) without
 forming the long vector:
 
 * TensorSketch: count-sketch each side with its own (hash, sign) pair and
-  cyclically convolve the two images.
+  cyclically convolve the two images (a product of their rffts).
 * TensorSRHT: per output row r, the product of one coordinate of H D1 u and
   one of H D2 v (H the unnormalized +-1 Hadamard matrix on the padded
   side), scaled by 1/sqrt(m_out).
@@ -186,13 +186,13 @@ def _osnap_apply(rows, sign, A, m) -> np.ndarray:
     return out
 
 
-def _srht_apply(padded, dsign, rows, A) -> np.ndarray:
+def _srht_rows(padded, dsign, rows, A) -> np.ndarray:
+    """Sampled rows of H D A: zero-pad, sign-flip, unnormalized Hadamard."""
     n = A.shape[0]
     work = np.zeros((padded, A.shape[1]))
     work[:n] = dsign[:n, None] * A
     _hadamard_axis0(work)
-    # sqrt(padded/m) rescale times the 1/sqrt(padded) Hadamard normalization
-    return work[rows] / math.sqrt(rows.size)
+    return work[rows]
 
 
 def apply_base(spec: BaseSketchSpec, A) -> np.ndarray:
@@ -213,12 +213,8 @@ def apply_base(spec: BaseSketchSpec, A) -> np.ndarray:
         rows, sign = _base_internals(spec)
         return _osnap_apply(rows, sign, A, spec.output_dim)
     padded, dsign, rows = _base_internals(spec)
-    return _srht_apply(padded, dsign, rows, A)
-
-
-def base_column(spec: BaseSketchSpec, j: int) -> np.ndarray:
-    """Column j of the materialized base sketch (the image of e_j)."""
-    return base_columns(spec, [j])[:, 0]
+    # sqrt(padded/m) rescale times the 1/sqrt(padded) Hadamard normalization
+    return _srht_rows(padded, dsign, rows, A) / math.sqrt(rows.size)
 
 
 def base_columns(spec: BaseSketchSpec, indices) -> np.ndarray:
@@ -269,13 +265,37 @@ def _hadamard_matrix(p: int) -> np.ndarray:
     return _bit_parity_sign(idx[:, None] & idx[None, :])
 
 
+def _tensor_side(spec: TensorSketchSpec, U: np.ndarray, k: int) -> np.ndarray:
+    """Transform of input k (0 left, 1 right) by its side of a tensor spec.
+
+    TensorSketch count-sketches with side k's (hash, sign) and takes the
+    rfft; TensorSRHT sign-flips with side k's diagonal, runs the Hadamard
+    transform, and samples side k's rows. A Kronecker column then sketches
+    to the finished product of its two transformed sides.
+    """
+    if spec.family is TensorFamily.TENSOR_SKETCH:
+        h1, h2, s1, s2 = _tensor_internals(spec)
+        h, sign = (h1, s1) if k == 0 else (h2, s2)
+        return np.fft.rfft(_countsketch_apply(h, sign, U, spec.output_dim), axis=0)
+    padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
+    dsign, rows = (d1, i_rows) if k == 0 else (d2, j_rows)
+    return _srht_rows(padded, dsign, rows, U)
+
+
+def _tensor_finish(spec: TensorSketchSpec, prod: np.ndarray) -> np.ndarray:
+    """Map combined side products to sketch outputs along axis 0."""
+    if spec.family is TensorFamily.TENSOR_SKETCH:
+        return np.fft.irfft(prod, n=spec.output_dim, axis=0)
+    return prod / math.sqrt(spec.output_dim)
+
+
 def apply_tensor_pair(spec: TensorSketchSpec, J1, J2) -> np.ndarray:
     """Sketch every Kronecker column pair of J1 and J2.
 
     Output column (c1, c2), stored at index c1 * J2.cols + c2, equals the
     sketch applied to J1[:, c1] (x) J2[:, c2]. The Kronecker vectors are
-    never formed: TensorSketch count-sketches each side and convolves via
-    FFT; TensorSRHT transforms each side once and samples coordinate pairs.
+    never formed: each side is transformed once and the outer product of
+    the two transforms is finished per column pair.
     """
     J1 = as_matrix(J1)
     J2 = as_matrix(J2)
@@ -287,23 +307,8 @@ def apply_tensor_pair(spec: TensorSketchSpec, J1, J2) -> np.ndarray:
     c1, c2 = J1.shape[1], J2.shape[1]
     if m_out * c1 * c2 > MAX_ELEMENTS:
         raise DimensionError("tensor sketch output exceeds element limit")
-    if spec.family is TensorFamily.TENSOR_SKETCH:
-        h1, h2, s1, s2 = _tensor_internals(spec)
-        cu = _countsketch_apply(h1, s1, J1, m_out)
-        cv = _countsketch_apply(h2, s2, J2, m_out)
-        fu = np.fft.rfft(cu, axis=0)
-        fv = np.fft.rfft(cv, axis=0)
-        prod = fu[:, :, None] * fv[:, None, :]
-        return np.fft.irfft(prod, n=m_out, axis=0).reshape(m_out, c1 * c2)
-    padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
-    g1 = np.zeros((padded, c1))
-    g1[:side] = d1[:side, None] * J1
-    g2 = np.zeros((padded, c2))
-    g2[:side] = d2[:side, None] * J2
-    _hadamard_axis0(g1)
-    _hadamard_axis0(g2)
-    out = g1[i_rows][:, :, None] * g2[j_rows][:, None, :]
-    return out.reshape(m_out, c1 * c2) / math.sqrt(m_out)
+    prod = _tensor_side(spec, J1, 0)[:, :, None] * _tensor_side(spec, J2, 1)[:, None, :]
+    return _tensor_finish(spec, prod).reshape(m_out, c1 * c2)
 
 
 def apply_tensor_cols(spec: TensorSketchSpec, U1, U2) -> np.ndarray:
@@ -314,33 +319,12 @@ def apply_tensor_cols(spec: TensorSketchSpec, U1, U2) -> np.ndarray:
     """
     U1 = as_matrix(U1)
     U2 = as_matrix(U2)
-    side, m_out = spec.side_dim, spec.output_dim
+    side = spec.side_dim
     if U1.shape[0] != side or U2.shape[0] != side or U1.shape[1] != U2.shape[1]:
         raise DimensionError(
             f"need matching {side}-row inputs, got {U1.shape} and {U2.shape}"
         )
-    if spec.family is TensorFamily.TENSOR_SKETCH:
-        h1, h2, s1, s2 = _tensor_internals(spec)
-        cu = _countsketch_apply(h1, s1, U1, m_out)
-        cv = _countsketch_apply(h2, s2, U2, m_out)
-        return np.fft.irfft(
-            np.fft.rfft(cu, axis=0) * np.fft.rfft(cv, axis=0), n=m_out, axis=0
-        )
-    padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
-    g1 = np.zeros((padded, U1.shape[1]))
-    g1[:side] = d1[:side, None] * U1
-    g2 = np.zeros((padded, U2.shape[1]))
-    g2[:side] = d2[:side, None] * U2
-    _hadamard_axis0(g1)
-    _hadamard_axis0(g2)
-    return g1[i_rows] * g2[j_rows] / math.sqrt(m_out)
-
-
-def tensor_pair_vector(spec: TensorSketchSpec, u, v) -> np.ndarray:
-    """Sketch of the single Kronecker pair u (x) v."""
-    return apply_tensor_cols(
-        spec, np.asarray(u).reshape(-1, 1), np.asarray(v).reshape(-1, 1)
-    ).ravel()
+    return _tensor_finish(spec, _tensor_side(spec, U1, 0) * _tensor_side(spec, U2, 1))
 
 
 def materialize(spec) -> np.ndarray:

@@ -52,7 +52,8 @@ from .sketches import (
     materialize,
 )
 
-SNAPSHOT_MAGIC = b"KTTR1"
+SNAPSHOT_MAGIC = b"KTTR2"
+_HEADER = "<BBQBQQQQ"  # c code, t code, m, adaptive, seed, spec draws, generation, q
 
 _BASE_CODES = {f: i for i, f in enumerate(BaseFamily)}
 _TENSOR_CODES = {f: i for i, f in enumerate(TensorFamily)}
@@ -65,8 +66,6 @@ class TreeConfig:
     c_family: BaseFamily = BaseFamily.COUNT_SKETCH
     t_family: TensorFamily = TensorFamily.TENSOR_SKETCH
     m: int = 64
-    eps: float = 0.5
-    delta: float = 0.1
     adaptive: bool = False
     seed: int = 0
 
@@ -75,10 +74,34 @@ class TreeConfig:
         object.__setattr__(self, "t_family", TensorFamily(self.t_family))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
-            raise ValueError("eps and delta must lie in (0, 1)")
         if not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
+
+
+def _fold(nodes, combine):
+    """Pair adjacent nodes level by level up to the root, yielding each new level.
+
+    Node k of level l is ``combine((l, k), left, right)`` over its two
+    children; a lone rightmost node is promoted unchanged (the same array,
+    as node matrices are never modified in place). Only the newest level is
+    held, so a caller that keeps just the root keeps memory flat.
+    """
+    level = 0
+    while len(nodes) > 1:
+        level += 1
+        nodes = [
+            combine((level, k // 2), *nodes[k:k + 2]) if k + 1 < len(nodes) else nodes[k]
+            for k in range(0, len(nodes), 2)
+        ]
+        yield nodes
+
+
+def _node_keys(q: int) -> list[tuple[int, int]]:
+    """(level, k) of every paired node of a q-leaf tree, level by level, left to right."""
+    keys = []
+    for _ in _fold([None] * q, lambda key, left, right: keys.append(key)):
+        pass
+    return keys
 
 
 class TensorTree:
@@ -110,11 +133,9 @@ class TensorTree:
         self.leaf_specs = [
             self._fresh_leaf_spec(f.shape[0]) for f in self.factors
         ]
-        self.node_specs: dict[tuple[int, int], TensorSketchSpec] = {}
-        for level in range(1, self._num_levels(self.q)):
-            for k in range(-(-self._level_width(level - 1) // 2)):
-                if 2 * k + 1 < self._level_width(level - 1):
-                    self.node_specs[(level, k)] = self._fresh_node_spec()
+        self.node_specs: dict[tuple[int, int], TensorSketchSpec] = {
+            key: self._fresh_node_spec() for key in _node_keys(self.q)
+        }
         self._rebuild_all()
 
     # ------------------------------------------------------------------
@@ -127,22 +148,7 @@ class TensorTree:
     @property
     def depth(self) -> int:
         """Number of levels above the leaves, ceil(log2 q)."""
-        return self._num_levels(self.q) - 1
-
-    @staticmethod
-    def _num_levels(q: int) -> int:
-        levels = 1
-        width = q
-        while width > 1:
-            width = (width + 1) // 2
-            levels += 1
-        return levels
-
-    def _level_width(self, level: int) -> int:
-        width = self.q
-        for _ in range(level):
-            width = (width + 1) // 2
-        return width
+        return len(self.levels) - 1
 
     @property
     def root(self) -> np.ndarray:
@@ -152,6 +158,18 @@ class TensorTree:
     @property
     def node_count(self) -> int:
         return sum(len(level) for level in self.levels)
+
+    def _path(self, i: int):
+        """Walk up from leaf i, yielding (level, k, children, side) per path node.
+
+        Node k of ``level`` is on the path; ``children`` is a fresh list of
+        its one or two children as stored when the step starts, and ``side``
+        is the path child's position in it.
+        """
+        for level in range(1, len(self.levels)):
+            k, side = divmod(i, 2)
+            yield level, k, self.levels[level - 1][2 * k:2 * k + 2], side
+            i = k
 
     # ------------------------------------------------------------------
     # spec drawing
@@ -177,20 +195,11 @@ class TensorTree:
     # construction
 
     def _rebuild_all(self) -> None:
-        levels = [
-            [apply_base(spec, f) for spec, f in zip(self.leaf_specs, self.factors)]
-        ]
-        for level in range(1, self._num_levels(self.q)):
-            below = levels[-1]
-            nodes = []
-            for k in range(-(-len(below) // 2)):
-                if 2 * k + 1 < len(below):
-                    spec = self.node_specs[(level, k)]
-                    nodes.append(apply_tensor_pair(spec, below[2 * k], below[2 * k + 1]))
-                else:
-                    nodes.append(below[2 * k].copy())
-            levels.append(nodes)
-        self.levels = levels
+        leaves = [apply_base(spec, f) for spec, f in zip(self.leaf_specs, self.factors)]
+        self.levels = [leaves, *_fold(leaves, self._pair_nodes)]
+
+    def _pair_nodes(self, key, left, right) -> np.ndarray:
+        return apply_tensor_pair(self.node_specs[key], left, right)
 
     # ------------------------------------------------------------------
     # updates
@@ -216,22 +225,12 @@ class TensorTree:
         self.factors[i] = self.factors[i] + B
         delta = apply_base(self.leaf_specs[i], B)
         self.levels[0][i] = self.levels[0][i] + delta
-        touched = 1
-        k = i
-        for level in range(1, len(self.levels)):
-            parent = k // 2
-            spec = self.node_specs.get((level, parent))
-            if spec is not None:
-                if k % 2 == 0:
-                    sibling = self.levels[level - 1][k + 1]
-                    delta = apply_tensor_pair(spec, delta, sibling)
-                else:
-                    sibling = self.levels[level - 1][k - 1]
-                    delta = apply_tensor_pair(spec, sibling, delta)
-            self.levels[level][parent] = self.levels[level][parent] + delta
-            touched += 1
-            k = parent
-        self.recompute_counter = touched
+        for level, k, children, side in self._path(i):
+            if len(children) == 2:
+                children[side] = delta
+                delta = self._pair_nodes((level, k), *children)
+            self.levels[level][k] = self.levels[level][k] + delta
+        self.recompute_counter = len(self.levels)
 
     def update_adaptive(self, i: int, B) -> None:
         """Apply A_i <- A_i + B with fresh sketches along the path.
@@ -248,21 +247,13 @@ class TensorTree:
         self.factors[i] = self.factors[i] + B
         self.leaf_specs[i] = self._fresh_leaf_spec(self.factors[i].shape[0])
         self.levels[0][i] = apply_base(self.leaf_specs[i], self.factors[i])
-        touched = 1
-        k = i
-        for level in range(1, len(self.levels)):
-            parent = k // 2
-            if (level, parent) in self.node_specs:
-                spec = self._fresh_node_spec()
-                self.node_specs[(level, parent)] = spec
-                left = self.levels[level - 1][2 * parent]
-                right = self.levels[level - 1][2 * parent + 1]
-                self.levels[level][parent] = apply_tensor_pair(spec, left, right)
+        for level, k, children, _ in self._path(i):
+            if len(children) == 2:
+                self.node_specs[(level, k)] = self._fresh_node_spec()
+                self.levels[level][k] = self._pair_nodes((level, k), *children)
             else:
-                self.levels[level][parent] = self.levels[level - 1][k].copy()
-            touched += 1
-            k = parent
-        self.recompute_counter = touched
+                self.levels[level][k] = children[0]
+        self.recompute_counter = len(self.levels)
         self.generation += 1
 
     # ------------------------------------------------------------------
@@ -297,16 +288,12 @@ class TensorTree:
         mats = [
             base_columns(self.leaf_specs[t], digits[t]) for t in range(self.q)
         ]
-        for level in range(1, len(self.levels)):
-            merged = []
-            for k in range(-(-len(mats) // 2)):
-                spec = self.node_specs.get((level, k))
-                if spec is not None:
-                    merged.append(apply_tensor_cols(spec, mats[2 * k], mats[2 * k + 1]))
-                else:
-                    merged.append(mats[2 * k])
-            mats = merged
+        for mats in _fold(mats, self._pair_cols):
+            pass
         return mats[0] @ sv.values
+
+    def _pair_cols(self, key, left, right) -> np.ndarray:
+        return apply_tensor_cols(self.node_specs[key], left, right)
 
     @staticmethod
     def _decompose(indices: np.ndarray, dims) -> list[np.ndarray]:
@@ -323,35 +310,27 @@ class TensorTree:
     def materialize_sketch(self) -> np.ndarray:
         """Explicit m x n composite sketching matrix (desk scale only)."""
         mats = [materialize(spec) for spec in self.leaf_specs]
-        for level in range(1, len(self.levels)):
-            merged = []
-            for k in range(-(-len(mats) // 2)):
-                spec = self.node_specs.get((level, k))
-                if spec is not None:
-                    merged.append(apply_tensor_pair(spec, mats[2 * k], mats[2 * k + 1]))
-                else:
-                    merged.append(mats[2 * k])
-            mats = merged
+        for mats in _fold(mats, self._pair_nodes):
+            pass
         return mats[0]
 
     # ------------------------------------------------------------------
     # snapshots: specs and factors only, node matrices are recomputed
 
     def save(self, path) -> None:
-        """Write a KTTR1 snapshot: config, factors, and all sketch specs."""
+        """Write a KTTR2 snapshot: config, counters, factors, and all sketch specs."""
         cfg = self.config
         parts = [SNAPSHOT_MAGIC]
         parts.append(
             struct.pack(
-                "<BBQddBQQQ",
+                _HEADER,
                 _BASE_CODES[cfg.c_family],
                 _TENSOR_CODES[cfg.t_family],
                 cfg.m,
-                cfg.eps,
-                cfg.delta,
                 int(cfg.adaptive),
                 cfg.seed,
                 self._spec_draws,
+                self.generation,
                 self.q,
             )
         )
@@ -388,6 +367,7 @@ class TensorTree:
 
     @classmethod
     def load(cls, path) -> "TensorTree":
+        """Rebuild a tree from a KTTR2 snapshot; malformed input raises ValueError."""
         with open(path, "rb") as fh:
             raw = fh.read()
         if raw[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
@@ -403,11 +383,16 @@ class TensorTree:
             off += size
             return vals
 
-        cb, tb, m, eps, delta, adaptive, seed, draws, q = take("<BBQddBQQQ")
+        def family(families, code):
+            if code >= len(families):
+                raise ValueError(f"unknown sketch family code {code} in tree snapshot")
+            return families[code]
+
         base_families = list(BaseFamily)
         tensor_families = list(TensorFamily)
+        cb, tb, m, adaptive, seed, draws, generation, q = take(_HEADER)
         config = TreeConfig(
-            base_families[cb], tensor_families[tb], m, eps, delta, bool(adaptive), seed
+            family(base_families, cb), family(tensor_families, tb), m, bool(adaptive), seed
         )
         factors = []
         for _ in range(q):
@@ -422,24 +407,28 @@ class TensorTree:
         leaf_specs = []
         for _ in range(q):
             fam, n, out_dim, sparsity, sp_seed = take("<BQQQQ")
-            leaf_specs.append(
-                BaseSketchSpec(base_families[fam], n, out_dim, sparsity, sp_seed)
-            )
+            leaf_specs.append(BaseSketchSpec(
+                family(base_families, fam), n, out_dim, sparsity, sp_seed
+            ))
         (n_nodes,) = take("<Q")
         node_specs = {}
         for _ in range(n_nodes):
             level, k, fam, side, out_dim, sp_seed = take("<QQBQQQ")
             node_specs[(level, k)] = TensorSketchSpec(
-                tensor_families[fam], side, out_dim, sp_seed
+                family(tensor_families, fam), side, out_dim, sp_seed
             )
+        if off != len(raw):
+            raise ValueError("trailing bytes after tree snapshot")
+        if sorted(node_specs) != _node_keys(q) or n_nodes != len(node_specs):
+            raise ValueError(f"node specs do not match a tree of {q} factors")
         tree = cls.__new__(cls)
         tree.config = config
         tree.factors = factors
         tree._spec_rng = np.random.default_rng(config.seed)
-        for _ in range(draws):
-            tree._spec_rng.integers(0, 1 << 63)
+        # each spec seed consumed exactly one 64-bit output of the stream
+        tree._spec_rng.bit_generator.advance(draws)
         tree._spec_draws = draws
-        tree.generation = 0
+        tree.generation = generation
         tree.recompute_counter = 0
         tree.leaf_specs = leaf_specs
         tree.node_specs = node_specs

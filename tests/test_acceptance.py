@@ -90,7 +90,7 @@ def test_criterion_1_dynamic_static_consistency():
             )
             for _ in range(q)
         ]
-        cfg = TreeConfig(pair[0], pair[1], 8, EPS, DELTA, False, 2000 + case)
+        cfg = TreeConfig(pair[0], pair[1], 8, seed=2000 + case)
         tree = TensorTree(factors, cfg)
         current = list(factors)
         for _ in range(5):
@@ -137,7 +137,7 @@ def test_criterion_3_embedding_guarantee():
         for trial in range(100):
             tree = TensorTree(
                 factors,
-                TreeConfig(pair[0], pair[1], m, EPS, DELTA, False, 3300 + trial),
+                TreeConfig(pair[0], pair[1], m, seed=3300 + trial),
             )
             x = rng.standard_normal(8)
             ratio = np.linalg.norm(tree.root @ x) / np.linalg.norm(A @ x)
@@ -168,7 +168,7 @@ def test_criterion_4_regression():
             factors, b = _regression_instance(trial)
             tree = TensorTree(
                 factors,
-                TreeConfig(pair[0], pair[1], m, EPS, DELTA, False, 44_000 + trial),
+                TreeConfig(pair[0], pair[1], m, seed=44_000 + trial),
             )
             x = regression_query(tree, tree.sketch_vector(b))
             achieved = np.linalg.norm(kron_chain(factors) @ x - b)
@@ -198,7 +198,7 @@ def test_criterion_5_spline():
                 choose_m(cb, tb, sd, 3, EPS, DELTA, SPLINE_C, eps_exponent=1), 8
             )
             tree = TensorTree(
-                factors, TreeConfig(cb, tb, m, EPS, DELTA, False, 55_000 + trial)
+                factors, TreeConfig(cb, tb, m, seed=55_000 + trial)
             )
             x = spline_query(tree, tree.sketch_vector(b), spline)
             achieved = (
@@ -236,7 +236,7 @@ def test_criterion_6_low_rank():
         rng = np.random.default_rng(66_000 + trial)
         factors = [rng.standard_normal((8, 3)) for _ in range(2)]
         tree = TensorTree(
-            factors, TreeConfig(cb, tb, m, EPS, DELTA, False, 67_000 + trial)
+            factors, TreeConfig(cb, tb, m, seed=67_000 + trial)
         )
         C = materialize_lowrank(lowrank_query(tree, k))
         err = np.linalg.norm(C - kron_chain(factors))
@@ -317,7 +317,7 @@ def test_criterion_8_sketch_vs_materialization():
     for q in (1, 2, 3, 5):
         for pair in PAIRS:
             factors = [rng.standard_normal((4, 2)) for _ in range(q)]
-            cfg = TreeConfig(pair[0], pair[1], 8, EPS, DELTA, False, 880 + q)
+            cfg = TreeConfig(pair[0], pair[1], 8, seed=880 + q)
             tree = TensorTree(factors, cfg)
             Pi = tree.materialize_sketch()
             worst = max(
@@ -341,7 +341,7 @@ def test_criterion_9_update_sublinear_in_q():
         trees[q] = TensorTree(
             factors,
             TreeConfig(BaseFamily.COUNT_SKETCH, TensorFamily.TENSOR_SKETCH,
-                       m, EPS, DELTA, False, q),
+                       m, seed=q),
         )
         deltas[q] = rng.standard_normal((n_i, 1))
         trees[q].update(0, deltas[q])  # warm up caches and FFT plans

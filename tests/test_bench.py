@@ -356,6 +356,26 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == CSV_HEADER
 
+    def test_stdout_matches_out_file(self, scenario_files, tmp_path, capsys):
+        files_tmp, factor_paths = scenario_files
+        args = [
+            "--factors", *factor_paths,
+            "--label", str(files_tmp / "b.spvec"),
+            "--stream", str(files_tmp / "stream.txt"),
+            "--cfactor", "0.5",
+            "--oracle",
+        ]
+        main(args)
+        printed = capsys.readouterr().out.splitlines()
+        main(args + ["--out", str(tmp_path / "r.csv")])
+        written = (tmp_path / "r.csv").read_text().splitlines()
+
+        def without_wall(lines):
+            return [line.split(",")[:2] + line.split(",")[3:] for line in lines]
+
+        assert len(printed) == len(written) > 1
+        assert without_wall(printed) == without_wall(written)
+
     def test_seeds_flag(self, scenario_files, tmp_path):
         files_tmp, factor_paths = scenario_files
         out = tmp_path / "agg.csv"

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kronsketch import sketches
 from kronsketch.linalg import (
     DimensionError,
     RegularizationError,
     SparseVector,
-    circular_convolve,
-    fwht,
+    _hadamard_axis0,
     kron,
     kron_chain,
     least_squares,
@@ -118,6 +119,12 @@ def _sylvester_hadamard(n):
     return H
 
 
+def fwht(v):
+    """Orthonormal Walsh-Hadamard transform through the SRHT butterflies."""
+    x = np.array(v, dtype=np.float64).reshape(-1, 1)
+    return _hadamard_axis0(x).ravel() / math.sqrt(x.shape[0])
+
+
 class TestFwht:
     def test_hand_values(self):
         assert np.allclose(fwht([1.0, 0.0]), [1 / math.sqrt(2)] * 2)
@@ -137,10 +144,6 @@ class TestFwht:
         back = fwht(fwht(v))
         assert np.allclose(back, v, rtol=1e-12, atol=1e-12)
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(DimensionError):
-            fwht(np.ones(6))
-
     @given(hnp.arrays(np.float64, 16, elements=st.floats(-100, 100, width=64)))
     @settings(max_examples=50, deadline=None)
     def test_norm_preserved(self, v):
@@ -159,6 +162,22 @@ def _convolve_direct(u, v):
         for j in range(s):
             out[r] += u[j] * v[(r - j) % s]
     return out
+
+
+def circular_convolve(u, v):
+    """A TensorSketch node on one column pair, with identity count-sketches.
+
+    With hashes 0..s-1 and unit signs each side's count-sketch is the
+    identity, so the node's rfft-product-irfft combine is exactly the cyclic
+    convolution of u and v.
+    """
+    u = np.array(u, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)
+    s = u.size
+    spec = sketches.TensorSketchSpec(sketches.TensorFamily.TENSOR_SKETCH, s, s, 0)
+    identity = (np.arange(s), np.arange(s), np.ones(s), np.ones(s))
+    with mock.patch.object(sketches, "_tensor_internals", lambda _: identity):
+        return sketches.apply_tensor_cols(spec, u[:, None], v[:, None])[:, 0]
 
 
 class TestCircularConvolve:

@@ -14,11 +14,11 @@ from kronsketch.sketches import (
     _countsketch_apply,
     _tensor_internals,
     apply_base,
+    apply_tensor_cols,
     apply_tensor_pair,
-    base_column,
+    base_columns,
     choose_m,
     materialize,
-    tensor_pair_vector,
 )
 
 RNG = np.random.default_rng(77)
@@ -136,8 +136,8 @@ class TestApplyAgainstMaterialize:
     @pytest.mark.parametrize("spec", BASE_SPECS)
     def test_columns(self, spec):
         Z = materialize(spec)
-        for j in range(spec.input_dim):
-            assert np.allclose(base_column(spec, j), Z[:, j], atol=1e-12)
+        cols = base_columns(spec, range(spec.input_dim))
+        assert np.allclose(cols, Z, atol=1e-12)
 
     @pytest.mark.parametrize("spec", TENSOR_SPECS)
     def test_tensor_pair(self, spec):
@@ -149,6 +149,21 @@ class TestApplyAgainstMaterialize:
             [Z @ kron(J1[:, [a]], J2[:, [b]]).ravel() for a in range(3) for b in range(2)]
         )
         assert np.allclose(out, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("spec", TENSOR_SPECS)
+    def test_tensor_cols(self, spec):
+        U1 = RNG.standard_normal((spec.side_dim, 4))
+        U2 = RNG.standard_normal((spec.side_dim, 4))
+        out = apply_tensor_cols(spec, U1, U2)
+        Z = materialize(spec)
+        expected = np.column_stack(
+            [Z @ kron(U1[:, [t]], U2[:, [t]]).ravel() for t in range(4)]
+        )
+        assert np.allclose(out, expected, atol=1e-10)
+        # the matched-column combine is the pair combine's diagonal, bit for bit
+        for t in range(4):
+            pair = apply_tensor_pair(spec, U1[:, [t]], U2[:, [t]])
+            assert np.array_equal(out[:, [t]], pair)
 
     def test_base_dimension_mismatch(self):
         spec = BASE_SPECS[0]
@@ -179,13 +194,6 @@ class TestTensorPairProperties:
         rhs = apply_tensor_pair(spec, J1, J2) + apply_tensor_pair(spec, J1b, J2)
         scale = max(1.0, np.abs(rhs).max())
         assert np.allclose(lhs, rhs, atol=1e-12 * scale)
-
-    def test_vector_pair_matches_matrix_call(self):
-        spec = TENSOR_SPECS[0]
-        u = RNG.standard_normal(spec.side_dim)
-        v = RNG.standard_normal(spec.side_dim)
-        expected = apply_tensor_pair(spec, u[:, None], v[:, None]).ravel()
-        assert np.array_equal(tensor_pair_vector(spec, u, v), expected)
 
 
 class TestTensorStructure:

@@ -86,8 +86,6 @@ class TestInitialize:
         with pytest.raises(ValueError):
             TreeConfig(m=0)
         with pytest.raises(ValueError):
-            TreeConfig(eps=2.0)
-        with pytest.raises(ValueError):
             TreeConfig(seed=-1)
 
     def test_column_blowup_rejected(self):
@@ -309,7 +307,7 @@ class TestSnapshot:
         rng = np.random.default_rng(23)
         factors = random_factors(5, rng=rng)
         tree = TensorTree(factors, TreeConfig(
-            BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, 9, 0.4, 0.2, False, 99
+            BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, 9, False, 99
         ))
         tree.update(1, rng.standard_normal(factors[1].shape))
         path = tmp_path / "tree.kttr"
@@ -340,12 +338,47 @@ class TestSnapshot:
         tree = TensorTree([np.eye(2)], TreeConfig(m=3, seed=25))
         path = tmp_path / "tree.kttr"
         tree.save(path)
-        assert path.read_bytes()[:5] == b"KTTR1"
+        assert path.read_bytes()[:5] == b"KTTR2"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.kttr"
         path.write_bytes(b"NOPEx" + b"\x00" * 64)
         with pytest.raises(ValueError):
+            TensorTree.load(path)
+
+    def test_generation_persisted(self, tmp_path):
+        tree = TensorTree(random_factors(3), TreeConfig(m=5, adaptive=True, seed=27))
+        tree.update_adaptive(2, np.zeros_like(tree.factors[2]))
+        tree.update_adaptive(0, np.zeros_like(tree.factors[0]))
+        path = tmp_path / "tree.kttr"
+        tree.save(path)
+        assert TensorTree.load(path).generation == tree.generation == 2
+
+    def _saved(self, tmp_path, q=2):
+        tree = TensorTree(random_factors(q), TreeConfig(m=3, seed=28))
+        path = tmp_path / "tree.kttr"
+        tree.save(path)
+        return path, bytearray(path.read_bytes())
+
+    def test_bad_family_code_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        raw[5] = 7  # base family code, first header byte after the magic
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            TensorTree.load(path)
+
+    def test_node_key_mismatch_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        # the one node record (level, k, family, side, out, seed) ends the file
+        raw[-41:-33] = (2).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="node specs"):
+            TensorTree.load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(bytes(raw) + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
             TensorTree.load(path)
 
     def test_truncated_rejected(self, tmp_path):
