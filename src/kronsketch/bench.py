@@ -42,7 +42,7 @@ from .oracle import (
     exact_lowrank,
     exact_spline,
 )
-from .sketches import BaseFamily, TensorFamily, choose_m
+from .sketches import BaseFamily, ConfigurationError, TensorFamily, choose_m
 from .solvers import (
     SplineSpec,
     lowrank_query,
@@ -229,6 +229,8 @@ class Scenario:
             raise ValueError("seeds must be >= 1")
         if not self.factors and not self.resume_tree:
             raise ValueError("need factor paths (or a tree snapshot to resume)")
+        if self.resume_tree and self.seeds > 1:
+            raise ValueError("a resumed tree is one draw: --resume-tree needs --seeds 1")
         if self.solver == "lowrank":
             if self.rank is None:
                 raise ValueError("lowrank solver needs --rank")
@@ -341,6 +343,10 @@ class _Run:
         else:
             if scenario.resume_tree:
                 self.tree = TensorTree.load(scenario.resume_tree)
+                if scenario.adaptive and not self.tree.config.adaptive:
+                    raise ConfigurationError(
+                        "--adaptive needs a snapshot of a tree built with adaptive"
+                    )
             else:
                 factors = [load_matrix(p) for p in scenario.factors]
                 d = 1

@@ -164,6 +164,14 @@ def thin_svd(M):
     return U, s, Vh.T
 
 
+def numerical_rank(s: np.ndarray, shape) -> int:
+    """Count of descending singular values s of a matrix of this shape above
+    max(shape) * eps * s[0], NumPy's matrix_rank tolerance."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > max(shape) * np.finfo(np.float64).eps * s[0]))
+
+
 def sym_generalized_eigs(P, Q) -> np.ndarray:
     """Eigenvalues of the pencil P x = mu Q x for symmetric P, SPD Q.
 

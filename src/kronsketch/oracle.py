@@ -24,6 +24,7 @@ from .linalg import (
     as_vector,
     kron_chain,
     least_squares,
+    numerical_rank,
     thin_svd,
 )
 from .solvers import SplineSpec
@@ -102,9 +103,7 @@ def leverage_scores(A) -> np.ndarray:
     """
     A = as_matrix(A)
     U, s, _ = thin_svd(A)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(A.shape[0])
-    rank = int(np.sum(s > max(A.shape) * np.finfo(np.float64).eps * s[0]))
+    rank = numerical_rank(s, A.shape)
     return np.einsum("ij,ij->i", U[:, :rank], U[:, :rank])
 
 

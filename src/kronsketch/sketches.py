@@ -2,9 +2,11 @@
 
 Base families map R^n -> R^m and are applied to tall factor matrices:
 
-* CountSketch: one signed nonzero per input coordinate, placed by a hash.
 * OSNAP: exactly s signed nonzeros of magnitude 1/sqrt(s) per coordinate,
   on s distinct output rows.
+* CountSketch: OSNAP with s = 1, one signed nonzero per coordinate placed
+  by a hash. Both hashing families keep (n, s) hash and sign arrays and
+  share one apply path.
 * SRHT: sign flip, orthonormal Walsh-Hadamard transform, row sampling
   without replacement, scaled by sqrt(padded/m). Inputs are zero-padded to
   the next power of two >= max(n, m).
@@ -13,8 +15,9 @@ Tensor families map R^(side^2) -> R^m_out but are only ever evaluated on
 Kronecker columns u (x) v, which they consume as the pair (u, v) without
 forming the long vector:
 
-* TensorSketch: count-sketch each side with its own (hash, sign) pair and
-  cyclically convolve the two images (a product of their rffts).
+* TensorSketch: count-sketch each side with its own (hash, sign) pair, in
+  the same (side, 1) layout and through the same apply as a CountSketch
+  leaf, and cyclically convolve the two images (a product of their rffts).
 * TensorSRHT: per output row r, the product of one coordinate of H D1 u and
   one of H D2 v (H the unnormalized +-1 Hadamard matrix on the padded
   side), scaled by 1/sqrt(m_out).
@@ -125,22 +128,19 @@ def _base_internals(spec: BaseSketchSpec):
     """Hash/sign/sampling arrays for a base spec, derived from its seed."""
     rng = np.random.default_rng(spec.seed)
     n, m = spec.input_dim, spec.output_dim
-    if spec.family is BaseFamily.COUNT_SKETCH:
-        h = rng.integers(0, m, size=n)
-        sign = _rademacher(rng, n)
-        out = (h, sign)
-    elif spec.family is BaseFamily.OSNAP:
-        s = spec.sparsity
-        rows = np.empty((n, s), dtype=np.int64)
-        for j in range(n):
-            rows[j] = rng.choice(m, size=s, replace=False)
-        sign = _rademacher(rng, (n, s))
-        out = (rows, sign)
-    else:  # SRHT
+    if spec.family is BaseFamily.SRHT:
         padded = _next_pow2(max(n, m))
         dsign = _rademacher(rng, padded)
         rows = rng.choice(padded, size=m, replace=False)
         out = (padded, dsign, rows)
+    else:
+        if spec.family is BaseFamily.COUNT_SKETCH:
+            rows = rng.integers(0, m, size=(n, 1))
+        else:  # OSNAP
+            rows = np.empty((n, spec.sparsity), dtype=np.int64)
+            for j in range(n):
+                rows[j] = rng.choice(m, size=spec.sparsity, replace=False)
+        out = (rows, _rademacher(rng, rows.shape))
     for arr in out:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -153,10 +153,10 @@ def _tensor_internals(spec: TensorSketchSpec):
     rng = np.random.default_rng(spec.seed)
     side, m_out = spec.side_dim, spec.output_dim
     if spec.family is TensorFamily.TENSOR_SKETCH:
-        h1 = rng.integers(0, m_out, size=side)
-        h2 = rng.integers(0, m_out, size=side)
-        s1 = _rademacher(rng, side)
-        s2 = _rademacher(rng, side)
+        h1 = rng.integers(0, m_out, size=(side, 1))
+        h2 = rng.integers(0, m_out, size=(side, 1))
+        s1 = _rademacher(rng, (side, 1))
+        s2 = _rademacher(rng, (side, 1))
         out = (h1, h2, s1, s2)
     else:  # TensorSRHT
         padded = _next_pow2(side)
@@ -171,18 +171,18 @@ def _tensor_internals(spec: TensorSketchSpec):
     return out
 
 
-def _countsketch_apply(h, sign, A, m) -> np.ndarray:
-    out = np.zeros((m, A.shape[1]))
-    np.add.at(out, h, sign[:, None] * A)
-    return out
+def _hash_apply(rows, sign, A, m) -> np.ndarray:
+    """Hashing sketch of A: sign[j, k] * A[j] is added to output row rows[j, k].
 
-
-def _osnap_apply(rows, sign, A, m) -> np.ndarray:
+    ``rows`` and ``sign`` are (n, s) and the sum is scaled by 1/sqrt(s).
+    CountSketch (s = 1) skips that pass, as its scale is exactly 1.
+    """
     s = rows.shape[1]
     out = np.zeros((m, A.shape[1]))
     for k in range(s):
         np.add.at(out, rows[:, k], sign[:, k][:, None] * A)
-    out /= math.sqrt(s)
+    if s > 1:
+        out /= math.sqrt(s)
     return out
 
 
@@ -206,12 +206,9 @@ def apply_base(spec: BaseSketchSpec, A) -> np.ndarray:
         raise DimensionError(
             f"A has {A.shape[0]} rows, spec expects {spec.input_dim}"
         )
-    if spec.family is BaseFamily.COUNT_SKETCH:
-        h, sign = _base_internals(spec)
-        return _countsketch_apply(h, sign, A, spec.output_dim)
-    if spec.family is BaseFamily.OSNAP:
+    if spec.family is not BaseFamily.SRHT:
         rows, sign = _base_internals(spec)
-        return _osnap_apply(rows, sign, A, spec.output_dim)
+        return _hash_apply(rows, sign, A, spec.output_dim)
     padded, dsign, rows = _base_internals(spec)
     # sqrt(padded/m) rescale times the 1/sqrt(padded) Hadamard normalization
     return _srht_rows(padded, dsign, rows, A) / math.sqrt(rows.size)
@@ -231,14 +228,9 @@ def base_columns(spec: BaseSketchSpec, indices) -> np.ndarray:
         raise IndexError(f"column index out of range [0, {spec.input_dim})")
     m = spec.output_dim
     t = idx.size
-    if spec.family is BaseFamily.COUNT_SKETCH:
-        h, sign = _base_internals(spec)
-        cols = np.zeros((m, t))
-        cols[h[idx], np.arange(t)] = sign[idx]
-        return cols
-    if spec.family is BaseFamily.OSNAP:
+    if spec.family is not BaseFamily.SRHT:
         rows, sign = _base_internals(spec)
-        s = spec.sparsity
+        s = rows.shape[1]
         cols = np.zeros((m, t))
         cols[rows[idx].ravel(), np.repeat(np.arange(t), s)] = (
             sign[idx].ravel() / math.sqrt(s)
@@ -276,7 +268,7 @@ def _tensor_side(spec: TensorSketchSpec, U: np.ndarray, k: int) -> np.ndarray:
     if spec.family is TensorFamily.TENSOR_SKETCH:
         h1, h2, s1, s2 = _tensor_internals(spec)
         h, sign = (h1, s1) if k == 0 else (h2, s2)
-        return np.fft.rfft(_countsketch_apply(h, sign, U, spec.output_dim), axis=0)
+        return np.fft.rfft(_hash_apply(h, sign, U, spec.output_dim), axis=0)
     padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
     dsign, rows = (d1, i_rows) if k == 0 else (d2, j_rows)
     return _srht_rows(padded, dsign, rows, U)
@@ -338,14 +330,9 @@ def materialize(spec) -> np.ndarray:
         n, m = spec.input_dim, spec.output_dim
         if n * m > MAX_ELEMENTS:
             raise DimensionError("materialized sketch exceeds element limit")
-        if spec.family is BaseFamily.COUNT_SKETCH:
-            h, sign = _base_internals(spec)
-            Z = np.zeros((m, n))
-            Z[h, np.arange(n)] = sign
-            return Z
-        if spec.family is BaseFamily.OSNAP:
+        if spec.family is not BaseFamily.SRHT:
             rows, sign = _base_internals(spec)
-            s = spec.sparsity
+            s = rows.shape[1]
             Z = np.zeros((m, n))
             cols = np.repeat(np.arange(n), s)
             Z[rows.ravel(), cols] = sign.ravel() / math.sqrt(s)
@@ -362,9 +349,9 @@ def materialize(spec) -> np.ndarray:
             h1, h2, s1, s2 = _tensor_internals(spec)
             Z = np.zeros((m_out, side * side))
             i = np.arange(side)
-            rows = (h1[:, None] + h2[None, :]) % m_out
+            rows = (h1 + h2.T) % m_out
             cols = i[:, None] * side + i[None, :]
-            Z[rows.ravel(), cols.ravel()] = (s1[:, None] * s2[None, :]).ravel()
+            Z[rows.ravel(), cols.ravel()] = (s1 * s2.T).ravel()
             return Z
         padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
         H = _hadamard_matrix(padded)

@@ -22,6 +22,7 @@ from .linalg import (
     as_vector,
     kron_chain,
     least_squares,
+    numerical_rank,
     sym_generalized_eigs,
     thin_svd,
 )
@@ -114,12 +115,6 @@ def spline_query(tree: TensorTree, b_sketch, spline: SplineSpec) -> np.ndarray:
     return result.x
 
 
-def _rank(s: np.ndarray, shape) -> int:
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > max(shape) * np.finfo(np.float64).eps * s[0]))
-
-
 def statistical_dimension(A, spline: SplineSpec) -> float:
     """Effective degrees of freedom of the penalized problem.
 
@@ -138,10 +133,10 @@ def statistical_dimension(A, spline: SplineSpec) -> float:
     if L.shape[1] != d:
         raise DimensionError(f"L has {L.shape[1]} cols, A has {d}")
     _, sL, VfullT = np.linalg.svd(L, full_matrices=True)
-    if _rank(sL, L.shape) < p:
+    if numerical_rank(sL, L.shape) < p:
         raise RegularizationError(_RANK_CONDITION)
     s_stack = np.linalg.svd(np.vstack([A, L]), compute_uv=False)
-    if _rank(s_stack, (A.shape[0] + p, d)) < d:
+    if numerical_rank(s_stack, (A.shape[0] + p, d)) < d:
         raise RegularizationError(_RANK_CONDITION)
     if lam == 0.0:
         return float(d)

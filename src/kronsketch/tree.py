@@ -112,15 +112,25 @@ class TensorTree:
     """
 
     def __init__(self, factors, config: TreeConfig):
+        self._init_state(factors, config)
+        self.leaf_specs = [
+            self._fresh_leaf_spec(f.shape[0]) for f in self.factors
+        ]
+        self.node_specs: dict[tuple[int, int], TensorSketchSpec] = {
+            key: self._fresh_node_spec() for key in _node_keys(self.q)
+        }
+        self._rebuild_all()
+
+    def _init_state(self, factors, config: TreeConfig) -> None:
+        """Checks and counters shared by a fresh build and a snapshot load."""
         self.config = config
         self.factors = [as_matrix(f) for f in factors]
         if not self.factors:
             raise DimensionError("need at least one factor")
+        d = 1
         for f in self.factors:
             if f.size == 0:
                 raise DimensionError("factors must be nonempty")
-        d = 1
-        for f in self.factors:
             d *= f.shape[1]
         if config.m * d > MAX_ELEMENTS:
             raise DimensionError(
@@ -130,13 +140,6 @@ class TensorTree:
         self._spec_draws = 0
         self.generation = 0
         self.recompute_counter = 0
-        self.leaf_specs = [
-            self._fresh_leaf_spec(f.shape[0]) for f in self.factors
-        ]
-        self.node_specs: dict[tuple[int, int], TensorSketchSpec] = {
-            key: self._fresh_node_spec() for key in _node_keys(self.q)
-        }
-        self._rebuild_all()
 
     # ------------------------------------------------------------------
     # structure helpers
@@ -422,14 +425,11 @@ class TensorTree:
         if sorted(node_specs) != _node_keys(q) or n_nodes != len(node_specs):
             raise ValueError(f"node specs do not match a tree of {q} factors")
         tree = cls.__new__(cls)
-        tree.config = config
-        tree.factors = factors
-        tree._spec_rng = np.random.default_rng(config.seed)
+        tree._init_state(factors, config)
         # each spec seed consumed exactly one 64-bit output of the stream
         tree._spec_rng.bit_generator.advance(draws)
         tree._spec_draws = draws
         tree.generation = generation
-        tree.recompute_counter = 0
         tree.leaf_specs = leaf_specs
         tree.node_specs = node_specs
         tree._rebuild_all()

@@ -19,6 +19,7 @@ from kronsketch.bench import (
     save_sparse_vector,
 )
 from kronsketch.linalg import SparseVector
+from kronsketch.sketches import ConfigurationError
 from kronsketch.tree import TensorTree
 
 RNG = np.random.default_rng(99)
@@ -283,6 +284,26 @@ class TestReplay:
         assert resumed[0].kind == "init"
         tree = TensorTree.load(snap)
         assert tree.q == 2
+
+    def test_snapshot_resume_rejects_many_seeds(self, scenario_files):
+        tmp_path, factor_paths = scenario_files
+        snap = tmp_path / "tree.kttr"
+        replay(base_scenario(tmp_path, factor_paths, stream=None, save_tree=str(snap)))
+        with pytest.raises(ValueError, match="seeds"):
+            replay(base_scenario(
+                tmp_path, factor_paths, factors=[], resume_tree=str(snap), seeds=2,
+            ))
+
+    def test_adaptive_resume_of_static_snapshot_rejected(self, scenario_files):
+        tmp_path, factor_paths = scenario_files
+        snap = tmp_path / "tree.kttr"
+        replay(base_scenario(tmp_path, factor_paths, stream=None, save_tree=str(snap)))
+        # no events: the mismatch must surface when the run is set up
+        with pytest.raises(ConfigurationError):
+            replay(base_scenario(
+                tmp_path, factor_paths, factors=[], resume_tree=str(snap),
+                adaptive=True, stream=None,
+            ))
 
 
 class TestReport:

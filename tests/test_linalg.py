@@ -175,7 +175,8 @@ def circular_convolve(u, v):
     v = np.array(v, dtype=np.float64)
     s = u.size
     spec = sketches.TensorSketchSpec(sketches.TensorFamily.TENSOR_SKETCH, s, s, 0)
-    identity = (np.arange(s), np.arange(s), np.ones(s), np.ones(s))
+    hashes = np.arange(s)[:, None]
+    identity = (hashes, hashes, np.ones((s, 1)), np.ones((s, 1)))
     with mock.patch.object(sketches, "_tensor_internals", lambda _: identity):
         return sketches.apply_tensor_cols(spec, u[:, None], v[:, None])[:, 0]
 

@@ -11,7 +11,7 @@ from kronsketch.sketches import (
     TensorFamily,
     TensorSketchSpec,
     _base_internals,
-    _countsketch_apply,
+    _hash_apply,
     _tensor_internals,
     apply_base,
     apply_tensor_cols,
@@ -76,9 +76,9 @@ class TestCountSketch:
 
     def test_injected_hashes(self):
         # both coordinates hash to output row 0 with opposite signs
-        h = np.array([0, 0])
-        sign = np.array([1.0, -1.0])
-        out = _countsketch_apply(h, sign, np.eye(2), 3)
+        h = np.array([[0], [0]])
+        sign = np.array([[1.0], [-1.0]])
+        out = _hash_apply(h, sign, np.eye(2), 3)
         assert np.array_equal(out, [[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_zero_matrix(self):
@@ -205,8 +205,8 @@ class TestTensorStructure:
             for j in range(4):
                 col = Z[:, i * 4 + j]
                 assert np.count_nonzero(col) == 1
-                r = (h1[i] + h2[j]) % 5
-                assert col[r] == s1[i] * s2[j]
+                r = (h1[i, 0] + h2[j, 0]) % 5
+                assert col[r] == s1[i, 0] * s2[j, 0]
 
     def test_tensorsrht_two_by_four(self):
         spec = TensorSketchSpec(TensorFamily.TENSOR_SRHT, 2, 2, 41)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from kronsketch.sketches import (
     choose_m,
     materialize,
 )
-from kronsketch.tree import TensorTree, TreeConfig
+from kronsketch.tree import _HEADER, SNAPSHOT_MAGIC, TensorTree, TreeConfig
 
 RNG = np.random.default_rng(314)
 
@@ -379,6 +381,13 @@ class TestSnapshot:
         path, raw = self._saved(tmp_path)
         path.write_bytes(bytes(raw) + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
+            TensorTree.load(path)
+
+    def test_zero_factors_rejected(self, tmp_path):
+        path = tmp_path / "empty.kttr"
+        header = struct.pack(_HEADER, 0, 0, 3, 0, 28, 0, 0, 0)  # q = 0
+        path.write_bytes(SNAPSHOT_MAGIC + header + struct.pack("<Q", 0))
+        with pytest.raises(DimensionError, match="at least one factor"):
             TensorTree.load(path)
 
     def test_truncated_rejected(self, tmp_path):
