@@ -97,23 +97,35 @@ def _parse_float(token: bytes, offset: int) -> float:
     return value
 
 
-def load_matrix(path) -> np.ndarray:
-    """Read a KMAT file into a matrix."""
+def _counted_payload(path, names, size, unit):
+    """The two header counts and the payload tokens of a counted text file.
+
+    ``names`` labels the counts in errors, ``size(a, b)`` is the number of
+    payload tokens they announce, and ``unit`` names those tokens; a short
+    or overlong payload raises.
+    """
     data = Path(path).read_bytes()
     tokens = _tokenize(data)
     if len(tokens) < 2:
         raise ParseError("missing header", 0 if not tokens else tokens[-1][1])
-    rows = _parse_count(tokens[0][0], tokens[0][1], "row count")
-    cols = _parse_count(tokens[1][0], tokens[1][1], "column count")
-    need = rows * cols
+    a, b = (_parse_count(tok, off, name) for (tok, off), name in zip(tokens, names))
+    need = size(a, b)
     payload = tokens[2:]
     if len(payload) < need:
         raise ParseError(
-            f"truncated payload: expected {need} values, found {len(payload)}",
+            f"truncated payload: expected {need} {unit}, found {len(payload)}",
             len(data),
         )
     if len(payload) > need:
         raise ParseError("trailing data after payload", payload[need][1])
+    return a, b, payload
+
+
+def load_matrix(path) -> np.ndarray:
+    """Read a KMAT file into a matrix."""
+    rows, cols, payload = _counted_payload(
+        path, ("row count", "column count"), lambda r, c: r * c, "values"
+    )
     values = [_parse_float(tok, off) for tok, off in payload]
     return np.array(values, dtype=np.float64).reshape(rows, cols)
 
@@ -128,20 +140,9 @@ def save_matrix(path, M) -> None:
 
 def load_sparse_vector(path) -> SparseVector:
     """Read a sparse vector file (``len nnz`` header, then index/value pairs)."""
-    data = Path(path).read_bytes()
-    tokens = _tokenize(data)
-    if len(tokens) < 2:
-        raise ParseError("missing header", 0 if not tokens else tokens[-1][1])
-    length = _parse_count(tokens[0][0], tokens[0][1], "vector length")
-    nnz = _parse_count(tokens[1][0], tokens[1][1], "nonzero count")
-    payload = tokens[2:]
-    if len(payload) < 2 * nnz:
-        raise ParseError(
-            f"truncated payload: expected {2 * nnz} tokens, found {len(payload)}",
-            len(data),
-        )
-    if len(payload) > 2 * nnz:
-        raise ParseError("trailing data after payload", payload[2 * nnz][1])
+    length, nnz, payload = _counted_payload(
+        path, ("vector length", "nonzero count"), lambda n, k: 2 * k, "tokens"
+    )
     indices = np.empty(nnz, dtype=np.int64)
     values = np.empty(nnz)
     for k in range(nnz):
@@ -229,8 +230,13 @@ class Scenario:
             raise ValueError("seeds must be >= 1")
         if not self.factors and not self.resume_tree:
             raise ValueError("need factor paths (or a tree snapshot to resume)")
-        if self.resume_tree and self.seeds > 1:
-            raise ValueError("a resumed tree is one draw: --resume-tree needs --seeds 1")
+        if self.resume_tree:
+            if self.factors:
+                raise ValueError("--resume-tree takes its factors from the snapshot, not --factors")
+            if self.solver == "baseline":
+                raise ValueError("the baseline solver keeps no tree: it cannot --resume-tree")
+            if self.seeds > 1:
+                raise ValueError("a resumed tree is one draw: --resume-tree needs --seeds 1")
         if self.solver == "lowrank":
             if self.rank is None:
                 raise ValueError("lowrank solver needs --rank")
@@ -280,10 +286,10 @@ def _ratio(cost: float, oracle_cost: float) -> float | None:
 # replay
 
 
-def _tree_sketch_dim(scenario: Scenario, factors, d: int) -> int:
-    cbase = BaseFamily(scenario.cbase)
-    tbase = TensorFamily(scenario.tbase)
+def _tree_sketch_dim(scenario: Scenario, factors, spline) -> int:
+    cbase, tbase = scenario.cbase, scenario.tbase  # choose_m checks the names
     q = len(factors)
+    d = math.prod(f.shape[1] for f in factors)
     if scenario.solver == "lowrank":
         m = choose_m(
             cbase, tbase, scenario.rank, q, scenario.eps, scenario.delta,
@@ -291,7 +297,6 @@ def _tree_sketch_dim(scenario: Scenario, factors, d: int) -> int:
         )
         return max(m, scenario.rank)
     if scenario.solver == "spline":
-        spline = SplineSpec(load_matrix(scenario.spline_l), scenario.lam)
         try:
             dim = statistical_dimension(kron_chain(factors), spline)
         except RegularizationError:
@@ -343,16 +348,19 @@ class _Run:
         else:
             if scenario.resume_tree:
                 self.tree = TensorTree.load(scenario.resume_tree)
-                if scenario.adaptive and not self.tree.config.adaptive:
+                cfg = self.tree.config
+                if scenario.adaptive and not cfg.adaptive:
                     raise ConfigurationError(
                         "--adaptive needs a snapshot of a tree built with adaptive"
                     )
+                if (scenario.cbase, scenario.tbase) != (cfg.c_family, cfg.t_family):
+                    raise ConfigurationError(
+                        f"--cbase {scenario.cbase} --tbase {scenario.tbase} differ "
+                        f"from the snapshot's {cfg.c_family.value} {cfg.t_family.value}"
+                    )
             else:
                 factors = [load_matrix(p) for p in scenario.factors]
-                d = 1
-                for f in factors:
-                    d *= f.shape[1]
-                m = _tree_sketch_dim(scenario, factors, d)
+                m = _tree_sketch_dim(scenario, factors, self.spline)
                 config = TreeConfig(
                     scenario.cbase, scenario.tbase, m, scenario.adaptive, seed
                 )
@@ -573,11 +581,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", type=int, default=1,
                         help="aggregate this many consecutive seeds")
     parser.add_argument("--save-tree", dest="save_tree",
-                        help="write a KTTR2 tree snapshot (config, factors, "
-                             "specs, generation) after the run")
+                        help="write a KTTR3 tree snapshot (config, factors, "
+                             "spec seeds, generation) after the run")
     parser.add_argument("--resume-tree", dest="resume_tree",
-                        help="rebuild the tree from a KTTR2 snapshot "
-                             "instead of building it from --factors")
+                        help="rebuild the tree from a KTTR3 snapshot instead of "
+                             "building it from --factors; --cbase/--tbase must "
+                             "match the snapshot, and m comes from it, so "
+                             "--eps/--delta/--cfactor do not apply")
     return parser
 
 

@@ -26,6 +26,7 @@ threads may read (root, sketch_vector, queries) between updates.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ from .sketches import (
     materialize,
 )
 
-SNAPSHOT_MAGIC = b"KTTR2"
+SNAPSHOT_MAGIC = b"KTTR3"
 _HEADER = "<BBQBQQQQ"  # c code, t code, m, adaptive, seed, spec draws, generation, q
 
 _BASE_CODES = {f: i for i, f in enumerate(BaseFamily)}
@@ -113,13 +114,7 @@ class TensorTree:
 
     def __init__(self, factors, config: TreeConfig):
         self._init_state(factors, config)
-        self.leaf_specs = [
-            self._fresh_leaf_spec(f.shape[0]) for f in self.factors
-        ]
-        self.node_specs: dict[tuple[int, int], TensorSketchSpec] = {
-            key: self._fresh_node_spec() for key in _node_keys(self.q)
-        }
-        self._rebuild_all()
+        self._init_specs(iter(self._next_seed, None))  # draws seeds as needed
 
     def _init_state(self, factors, config: TreeConfig) -> None:
         """Checks and counters shared by a fresh build and a snapshot load."""
@@ -181,21 +176,25 @@ class TensorTree:
         self._spec_draws += 1
         return int(self._spec_rng.integers(0, 1 << 63))
 
-    def _fresh_leaf_spec(self, n: int) -> BaseSketchSpec:
-        m = self.config.m
-        sparsity = 0
-        if self.config.c_family is BaseFamily.OSNAP:
-            sparsity = min(DEFAULT_OSNAP_SPARSITY, m)
-        return BaseSketchSpec(
-            self.config.c_family, n, m, sparsity, self._next_seed()
-        )
+    def _leaf_spec(self, n: int, seed: int) -> BaseSketchSpec:
+        cfg = self.config
+        osnap = cfg.c_family is BaseFamily.OSNAP
+        sparsity = min(DEFAULT_OSNAP_SPARSITY, cfg.m) if osnap else 0
+        return BaseSketchSpec(cfg.c_family, n, cfg.m, sparsity, seed)
 
-    def _fresh_node_spec(self) -> TensorSketchSpec:
-        m = self.config.m
-        return TensorSketchSpec(self.config.t_family, m, m, self._next_seed())
+    def _node_spec(self, seed: int) -> TensorSketchSpec:
+        return TensorSketchSpec(self.config.t_family, self.config.m, self.config.m, seed)
 
     # ------------------------------------------------------------------
     # construction
+
+    def _init_specs(self, seeds) -> None:
+        """Leaf specs, then node specs in ``_node_keys`` order, on successive seeds."""
+        self.leaf_specs = [self._leaf_spec(f.shape[0], next(seeds)) for f in self.factors]
+        self.node_specs: dict[tuple[int, int], TensorSketchSpec] = {
+            key: self._node_spec(next(seeds)) for key in _node_keys(self.q)
+        }
+        self._rebuild_all()
 
     def _rebuild_all(self) -> None:
         leaves = [apply_base(spec, f) for spec, f in zip(self.leaf_specs, self.factors)]
@@ -248,11 +247,11 @@ class TensorTree:
             )
         B = self._check_update_args(i, B)
         self.factors[i] = self.factors[i] + B
-        self.leaf_specs[i] = self._fresh_leaf_spec(self.factors[i].shape[0])
+        self.leaf_specs[i] = self._leaf_spec(self.factors[i].shape[0], self._next_seed())
         self.levels[0][i] = apply_base(self.leaf_specs[i], self.factors[i])
         for level, k, children, _ in self._path(i):
             if len(children) == 2:
-                self.node_specs[(level, k)] = self._fresh_node_spec()
+                self.node_specs[(level, k)] = self._node_spec(self._next_seed())
                 self.levels[level][k] = self._pair_nodes((level, k), *children)
             else:
                 self.levels[level][k] = children[0]
@@ -261,9 +260,6 @@ class TensorTree:
 
     # ------------------------------------------------------------------
     # sketching vectors
-
-    def _dims(self):
-        return [f.shape[0] for f in self.factors]
 
     def sketch_vector(self, b) -> np.ndarray:
         """Image of a long (sparse) vector under the tree's composite sketch.
@@ -277,10 +273,8 @@ class TensorTree:
             sv = b
         else:
             sv = SparseVector.from_dense(as_vector(b))
-        n_dims = self._dims()
-        n_total = 1
-        for n_i in n_dims:
-            n_total *= n_i
+        n_dims = [f.shape[0] for f in self.factors]
+        n_total = math.prod(n_dims)
         if sv.length != n_total:
             raise DimensionError(
                 f"vector length {sv.length} != product of factor rows {n_total}"
@@ -318,10 +312,15 @@ class TensorTree:
         return mats[0]
 
     # ------------------------------------------------------------------
-    # snapshots: specs and factors only, node matrices are recomputed
+    # snapshots: config, counters, factors and spec seeds; everything else
+    # (spec shapes and families, node matrices) is derived on load
 
     def save(self, path) -> None:
-        """Write a KTTR2 snapshot: config, counters, factors, and all sketch specs."""
+        """Write a KTTR3 snapshot: header, factors, then the 2q - 1 spec seeds.
+
+        The seeds are the leaves' in order, then the paired nodes' in
+        ``_node_keys`` order.
+        """
         cfg = self.config
         parts = [SNAPSHOT_MAGIC]
         parts.append(
@@ -340,37 +339,15 @@ class TensorTree:
         for f in self.factors:
             parts.append(struct.pack("<QQ", f.shape[0], f.shape[1]))
             parts.append(f.astype("<f8").tobytes())
-        for spec in self.leaf_specs:
-            parts.append(
-                struct.pack(
-                    "<BQQQQ",
-                    _BASE_CODES[spec.family],
-                    spec.input_dim,
-                    spec.output_dim,
-                    spec.sparsity,
-                    spec.seed,
-                )
-            )
-        parts.append(struct.pack("<Q", len(self.node_specs)))
-        for (level, k) in sorted(self.node_specs):
-            spec = self.node_specs[(level, k)]
-            parts.append(
-                struct.pack(
-                    "<QQBQQQ",
-                    level,
-                    k,
-                    _TENSOR_CODES[spec.family],
-                    spec.side_dim,
-                    spec.output_dim,
-                    spec.seed,
-                )
-            )
+        seeds = [spec.seed for spec in self.leaf_specs]
+        seeds += [self.node_specs[key].seed for key in _node_keys(self.q)]
+        parts.append(struct.pack(f"<{len(seeds)}Q", *seeds))
         with open(path, "wb") as fh:
             fh.write(b"".join(parts))
 
     @classmethod
     def load(cls, path) -> "TensorTree":
-        """Rebuild a tree from a KTTR2 snapshot; malformed input raises ValueError."""
+        """Rebuild a tree from a KTTR3 snapshot; malformed input raises ValueError."""
         with open(path, "rb") as fh:
             raw = fh.read()
         if raw[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
@@ -386,16 +363,11 @@ class TensorTree:
             off += size
             return vals
 
-        def family(families, code):
-            if code >= len(families):
-                raise ValueError(f"unknown sketch family code {code} in tree snapshot")
-            return families[code]
-
-        base_families = list(BaseFamily)
-        tensor_families = list(TensorFamily)
         cb, tb, m, adaptive, seed, draws, generation, q = take(_HEADER)
+        if cb >= len(BaseFamily) or tb >= len(TensorFamily):
+            raise ValueError(f"unknown sketch family codes {cb}, {tb} in tree snapshot")
         config = TreeConfig(
-            family(base_families, cb), family(tensor_families, tb), m, bool(adaptive), seed
+            list(BaseFamily)[cb], list(TensorFamily)[tb], m, bool(adaptive), seed
         )
         factors = []
         for _ in range(q):
@@ -407,30 +379,15 @@ class TensorTree:
             data = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
             off += size
             factors.append(data.reshape(rows, cols).copy())
-        leaf_specs = []
-        for _ in range(q):
-            fam, n, out_dim, sparsity, sp_seed = take("<BQQQQ")
-            leaf_specs.append(BaseSketchSpec(
-                family(base_families, fam), n, out_dim, sparsity, sp_seed
-            ))
-        (n_nodes,) = take("<Q")
-        node_specs = {}
-        for _ in range(n_nodes):
-            level, k, fam, side, out_dim, sp_seed = take("<QQBQQQ")
-            node_specs[(level, k)] = TensorSketchSpec(
-                family(tensor_families, fam), side, out_dim, sp_seed
-            )
+        tree = cls.__new__(cls)
+        tree._init_state(factors, config)  # q >= 1 from here on
+        # q is now bounded by the file size, so the seed count is too
+        seeds = take(f"<{2 * q - 1}Q")
         if off != len(raw):
             raise ValueError("trailing bytes after tree snapshot")
-        if sorted(node_specs) != _node_keys(q) or n_nodes != len(node_specs):
-            raise ValueError(f"node specs do not match a tree of {q} factors")
-        tree = cls.__new__(cls)
-        tree._init_state(factors, config)
         # each spec seed consumed exactly one 64-bit output of the stream
         tree._spec_rng.bit_generator.advance(draws)
         tree._spec_draws = draws
         tree.generation = generation
-        tree.leaf_specs = leaf_specs
-        tree.node_specs = node_specs
-        tree._rebuild_all()
+        tree._init_specs(iter(seeds))
         return tree

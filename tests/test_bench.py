@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kronsketch import bench
 from kronsketch.bench import (
     CSV_HEADER,
     BenchRecord,
@@ -224,6 +225,22 @@ class TestReplay:
             if r.kind == "query":
                 assert r.ratio is not None and r.ratio >= 1.0 - 1e-9
 
+    def test_spline_matrix_parsed_once(self, scenario_files, monkeypatch):
+        tmp_path, factor_paths = scenario_files
+        L_path = str(tmp_path / "L.kmat")
+        parsed = []
+
+        def counting_load(path):
+            parsed.append(str(path))
+            return load_matrix(path)
+
+        monkeypatch.setattr(bench, "load_matrix", counting_load)
+        replay(base_scenario(
+            tmp_path, factor_paths, solver="spline", spline_l=L_path, lam=1.0,
+            stream=None, cfactor=2.0,
+        ))
+        assert parsed.count(L_path) == 1
+
     def test_lowrank_solver(self, scenario_files):
         tmp_path, factor_paths = scenario_files
         sc = base_scenario(
@@ -303,6 +320,38 @@ class TestReplay:
             replay(base_scenario(
                 tmp_path, factor_paths, factors=[], resume_tree=str(snap),
                 adaptive=True, stream=None,
+            ))
+
+    def test_snapshot_resume_rejects_factors(self, scenario_files):
+        tmp_path, factor_paths = scenario_files
+        snap = tmp_path / "tree.kttr"
+        replay(base_scenario(tmp_path, factor_paths, stream=None, save_tree=str(snap)))
+        with pytest.raises(ValueError, match="--factors"):
+            replay(base_scenario(
+                tmp_path, factor_paths[:1], resume_tree=str(snap), stream=None,
+            ))
+
+    def test_snapshot_resume_rejects_baseline(self, scenario_files):
+        tmp_path, factor_paths = scenario_files
+        snap = tmp_path / "tree.kttr"
+        replay(base_scenario(tmp_path, factor_paths, stream=None, save_tree=str(snap)))
+        with pytest.raises(ValueError, match="baseline"):
+            replay(base_scenario(
+                tmp_path, factor_paths, factors=[], resume_tree=str(snap),
+                solver="baseline", stream=None,
+            ))
+
+    @pytest.mark.parametrize(
+        "families", [{"cbase": "srht"}, {"tbase": "tensorsrht"}]
+    )
+    def test_snapshot_resume_rejects_other_families(self, scenario_files, families):
+        tmp_path, factor_paths = scenario_files
+        snap = tmp_path / "tree.kttr"
+        replay(base_scenario(tmp_path, factor_paths, stream=None, save_tree=str(snap)))
+        with pytest.raises(ConfigurationError, match="snapshot"):
+            replay(base_scenario(
+                tmp_path, factor_paths, factors=[], resume_tree=str(snap),
+                stream=None, **families,
             ))
 
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,7 +341,7 @@ class TestSnapshot:
         tree = TensorTree([np.eye(2)], TreeConfig(m=3, seed=25))
         path = tmp_path / "tree.kttr"
         tree.save(path)
-        assert path.read_bytes()[:5] == b"KTTR2"
+        assert path.read_bytes()[:5] == b"KTTR3"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.kttr"
@@ -369,12 +370,25 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             TensorTree.load(path)
 
-    def test_node_key_mismatch_rejected(self, tmp_path):
-        path, raw = self._saved(tmp_path)
-        # the one node record (level, k, family, side, out, seed) ends the file
-        raw[-41:-33] = (2).to_bytes(8, "little")
+    @pytest.mark.parametrize("cb, tb", [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
+    def test_family_codes_set_every_spec(self, tmp_path, cb, tb):
+        # specs are derived from the header, so none keeps the saved tree's family
+        path, raw = self._saved(tmp_path, q=3)  # countsketch (0), tensorsketch (0)
+        raw[5:7] = bytes([cb, tb])
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="node specs"):
+        tree = TensorTree.load(path)
+        assert tree.config.c_family is list(BaseFamily)[cb]
+        assert tree.config.t_family is list(TensorFamily)[tb]
+        assert all(s.family is tree.config.c_family for s in tree.leaf_specs)
+        assert all(s.family is tree.config.t_family for s in tree.node_specs.values())
+        check_node_invariants(tree)
+
+    def test_forged_factor_count_rejected(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        q_at = len(SNAPSHOT_MAGIC) + struct.calcsize(_HEADER) - 8
+        raw[q_at:q_at + 8] = (1 << 62).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="truncated"):
             TensorTree.load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -386,14 +400,25 @@ class TestSnapshot:
     def test_zero_factors_rejected(self, tmp_path):
         path = tmp_path / "empty.kttr"
         header = struct.pack(_HEADER, 0, 0, 3, 0, 28, 0, 0, 0)  # q = 0
-        path.write_bytes(SNAPSHOT_MAGIC + header + struct.pack("<Q", 0))
+        path.write_bytes(SNAPSHOT_MAGIC + header)
         with pytest.raises(DimensionError, match="at least one factor"):
             TensorTree.load(path)
 
     def test_truncated_rejected(self, tmp_path):
-        tree = TensorTree([np.eye(2)], TreeConfig(m=3, seed=26))
+        # every strict prefix raises, allocating no more than a few file sizes
+        factors = random_factors(3, rng=np.random.default_rng(26))
+        tree = TensorTree(factors, TreeConfig(m=3, seed=26))
         path = tmp_path / "tree.kttr"
         tree.save(path)
-        (tmp_path / "cut.kttr").write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(ValueError):
-            TensorTree.load(tmp_path / "cut.kttr")
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.kttr"
+        tracemalloc.start()
+        try:
+            for end in range(len(raw)):
+                cut.write_bytes(raw[:end])
+                tracemalloc.reset_peak()
+                with pytest.raises(ValueError):
+                    TensorTree.load(cut)
+                assert tracemalloc.get_traced_memory()[1] < 4 * len(raw) + (1 << 16)
+        finally:
+            tracemalloc.stop()
