@@ -555,19 +555,19 @@ def _build_parser() -> argparse.ArgumentParser:
             "Replay an update stream against a sketched Kronecker product "
             "and report per-event timing and solution quality."
         ),
+        # unset flags stay out of the namespace, so Scenario's defaults apply
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--factors", nargs="+", default=[], metavar="KMAT",
+    parser.add_argument("--factors", nargs="+", metavar="KMAT",
                         help="factor matrix files, in Kronecker order")
     parser.add_argument("--label", help="sparse label vector file")
-    parser.add_argument("--solver", default="regression", choices=SOLVERS)
-    parser.add_argument("--cbase", default="countsketch",
-                        choices=[f.value for f in BaseFamily])
-    parser.add_argument("--tbase", default="tensorsketch",
-                        choices=[f.value for f in TensorFamily])
-    parser.add_argument("--eps", type=float, default=0.5)
-    parser.add_argument("--delta", type=float, default=0.1)
-    parser.add_argument("--cfactor", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--solver", choices=SOLVERS)
+    parser.add_argument("--cbase", choices=[f.value for f in BaseFamily])
+    parser.add_argument("--tbase", choices=[f.value for f in TensorFamily])
+    parser.add_argument("--eps", type=float)
+    parser.add_argument("--delta", type=float)
+    parser.add_argument("--cfactor", type=float)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--adaptive", action="store_true",
                         help="redraw sketches along each update path")
     parser.add_argument("--oracle", action="store_true",
@@ -575,10 +575,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stream", help="update stream file")
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     parser.add_argument("--spline-L", dest="spline_l", help="penalty matrix file")
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.0,
+    parser.add_argument("--lambda", dest="lam", type=float,
                         help="penalty weight for the spline solver")
     parser.add_argument("--rank", type=int, help="target rank for lowrank")
-    parser.add_argument("--seeds", type=int, default=1,
+    parser.add_argument("--seeds", type=int,
                         help="aggregate this many consecutive seeds")
     parser.add_argument("--save-tree", dest="save_tree",
                         help="write a KTTR3 tree snapshot (config, factors, "

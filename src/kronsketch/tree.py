@@ -9,15 +9,14 @@ promoted unchanged (order-preserving, so the implied composite sketch is
 still a linear map on the full Kronecker ordering). The root is an m x d
 sketch of the whole chain, d being the product of the factor column counts.
 
-Updating factor i by a delta B touches exactly the leaf-to-root path:
-sketches are linear and the Kronecker product is bilinear, so the leaf
-delta C_i B propagates upward with the unchanged sibling matrix supplying
-the other argument. With q factors that is ceil(log2 q) + 1 node matrices.
+Updating factor i re-sketches leaf i and recomputes each node above it from
+its two children, keeping every other node, so each node is always what a
+fresh build computes from its spec and children. Nothing is committed until
+the new root is finite: an update that raises leaves the tree as it was.
 
-In adaptive mode the structure instead redraws the sketch specs along the
-path and recomputes those nodes from the stored factors, so the randomness
-seen by an adversary is fresh after every update. This changes the overall
-sketching map, which the ``generation`` counter exposes so that callers can
+In adaptive mode an update first redraws the specs on that path, so an
+adversary sees fresh randomness after every update. The ``generation``
+counter exposes this change of the sketching map, so that callers can
 invalidate anything they sketched earlier (for example a label vector).
 
 A tree is single-writer: updates need exclusive access, while any number of
@@ -108,8 +107,8 @@ def _node_keys(q: int) -> list[tuple[int, int]]:
 class TensorTree:
     """Sketch of A_1 (x) ... (x) A_q supporting factor updates.
 
-    Factor matrices are stored in full: adaptive refresh re-sketches them
-    and the factored low-rank output hands them back to the caller.
+    Factor matrices are stored in full: an update re-sketches the updated
+    factor, and the factored low-rank output hands them back to the caller.
     """
 
     def __init__(self, factors, config: TreeConfig):
@@ -157,18 +156,6 @@ class TensorTree:
     def node_count(self) -> int:
         return sum(len(level) for level in self.levels)
 
-    def _path(self, i: int):
-        """Walk up from leaf i, yielding (level, k, children, side) per path node.
-
-        Node k of ``level`` is on the path; ``children`` is a fresh list of
-        its one or two children as stored when the step starts, and ``side``
-        is the path child's position in it.
-        """
-        for level in range(1, len(self.levels)):
-            k, side = divmod(i, 2)
-            yield level, k, self.levels[level - 1][2 * k:2 * k + 2], side
-            i = k
-
     # ------------------------------------------------------------------
     # spec drawing
 
@@ -189,16 +176,30 @@ class TensorTree:
     # construction
 
     def _init_specs(self, seeds) -> None:
-        """Leaf specs, then node specs in ``_node_keys`` order, on successive seeds."""
-        self.leaf_specs = [self._leaf_spec(f.shape[0], next(seeds)) for f in self.factors]
-        self.node_specs: dict[tuple[int, int], TensorSketchSpec] = {
-            key: self._node_spec(next(seeds)) for key in _node_keys(self.q)
-        }
-        self._rebuild_all()
+        """Leaf then node specs (``_node_keys`` order) on successive seeds; then all nodes."""
+        leaf_specs = [self._leaf_spec(f.shape[0], next(seeds)) for f in self.factors]
+        node_specs = {key: self._node_spec(next(seeds)) for key in _node_keys(self.q)}
+        self._refold(range(self.q), self.factors, leaf_specs, node_specs)
 
-    def _rebuild_all(self) -> None:
-        leaves = [apply_base(spec, f) for spec, f in zip(self.leaf_specs, self.factors)]
-        self.levels = [leaves, *_fold(leaves, self._pair_nodes)]
+    def _refold(self, dirty, factors, leaf_specs, node_specs) -> None:
+        """Recompute the ``dirty`` leaves and the nodes above them, reusing the rest,
+        and store the result only once the new root is known to be finite."""
+        leaves = [
+            apply_base(leaf_specs[i], f) if i in dirty else self.levels[0][i]
+            for i, f in enumerate(factors)
+        ]
+
+        def combine(key, left, right):
+            level, k = key  # node k of a level sits above leaves i with i >> level == k
+            if any(i >> level == k for i in dirty):
+                return apply_tensor_pair(node_specs[key], left, right)
+            return self.levels[level][k]
+
+        levels = [leaves, *_fold(leaves, combine)]
+        if not np.isfinite(levels[-1][0]).all():
+            raise ValueError("root sketch has non-finite entries")
+        self.factors, self.leaf_specs, self.node_specs = factors, leaf_specs, node_specs
+        self.levels = levels
 
     def _pair_nodes(self, key, left, right) -> np.ndarray:
         return apply_tensor_pair(self.node_specs[key], left, right)
@@ -206,7 +207,8 @@ class TensorTree:
     # ------------------------------------------------------------------
     # updates
 
-    def _check_update_args(self, i: int, B) -> np.ndarray:
+    def _updated_factors(self, i: int, B) -> list[np.ndarray]:
+        """The factors with A_i + B in place of A_i, after checking i and B."""
         if not 0 <= i < self.q:
             raise IndexError(f"factor index {i} out of range [0, {self.q})")
         B = as_matrix(B)
@@ -214,47 +216,40 @@ class TensorTree:
             raise DimensionError(
                 f"update shape {B.shape} != factor shape {self.factors[i].shape}"
             )
-        return B
+        factors = list(self.factors)
+        factors[i] = factors[i] + B
+        return factors
 
     def update(self, i: int, B) -> None:
-        """Apply A_i <- A_i + B, propagating the sketched delta to the root.
-
-        Reuses every stored spec; because each node's map is linear in each
-        child, adding the sketched delta at each path node keeps the whole
-        tree consistent with a from-scratch build on the updated factors.
-        """
-        B = self._check_update_args(i, B)
-        self.factors[i] = self.factors[i] + B
-        delta = apply_base(self.leaf_specs[i], B)
-        self.levels[0][i] = self.levels[0][i] + delta
-        for level, k, children, side in self._path(i):
-            if len(children) == 2:
-                children[side] = delta
-                delta = self._pair_nodes((level, k), *children)
-            self.levels[level][k] = self.levels[level][k] + delta
+        """Apply A_i <- A_i + B, keeping every spec: the nodes then equal a fresh
+        build's under those specs, or this raises and changes nothing."""
+        self._refold({i}, self._updated_factors(i, B), self.leaf_specs, self.node_specs)
         self.recompute_counter = len(self.levels)
 
     def update_adaptive(self, i: int, B) -> None:
         """Apply A_i <- A_i + B with fresh sketches along the path.
 
-        The leaf is recomputed from the full updated factor and every path
-        node from its children's current matrices, each under a newly drawn
-        spec, so no randomness is reused where the update landed.
+        Leaf i, then each paired node above it, bottom-up, gets a newly drawn
+        spec, so no randomness is reused where the update landed. A call that
+        raises also rewinds the draws, so the next seed is unchanged too.
         """
         if not self.config.adaptive:
             raise ConfigurationError(
                 "update_adaptive requires a tree built with adaptive=True"
             )
-        B = self._check_update_args(i, B)
-        self.factors[i] = self.factors[i] + B
-        self.leaf_specs[i] = self._leaf_spec(self.factors[i].shape[0], self._next_seed())
-        self.levels[0][i] = apply_base(self.leaf_specs[i], self.factors[i])
-        for level, k, children, _ in self._path(i):
-            if len(children) == 2:
-                self.node_specs[(level, k)] = self._node_spec(self._next_seed())
-                self.levels[level][k] = self._pair_nodes((level, k), *children)
-            else:
-                self.levels[level][k] = children[0]
+        factors = self._updated_factors(i, B)
+        saved = self._spec_rng.bit_generator.state, self._spec_draws
+        try:
+            leaf_specs = list(self.leaf_specs)
+            leaf_specs[i] = self._leaf_spec(factors[i].shape[0], self._next_seed())
+            node_specs = dict(self.node_specs)
+            for level, k in _node_keys(self.q):  # level by level, so bottom-up
+                if i >> level == k:
+                    node_specs[level, k] = self._node_spec(self._next_seed())
+            self._refold({i}, factors, leaf_specs, node_specs)
+        except BaseException:
+            self._spec_rng.bit_generator.state, self._spec_draws = saved
+            raise
         self.recompute_counter = len(self.levels)
         self.generation += 1
 
@@ -385,6 +380,8 @@ class TensorTree:
         seeds = take(f"<{2 * q - 1}Q")
         if off != len(raw):
             raise ValueError("trailing bytes after tree snapshot")
+        if draws < len(seeds):  # a smaller count would draw stored seeds again
+            raise ValueError(f"spec-draw count {draws} < {len(seeds)} stored seeds")
         # each spec seed consumed exactly one 64-bit output of the stream
         tree._spec_rng.bit_generator.advance(draws)
         tree._spec_draws = draws

@@ -6,6 +6,7 @@ import pytest
 from kronsketch import bench
 from kronsketch.bench import (
     CSV_HEADER,
+    _build_parser,
     BenchRecord,
     ParseError,
     Scenario,
@@ -394,6 +395,10 @@ class TestReport:
 
 
 class TestCli:
+    def test_unset_flags_take_scenario_defaults(self):
+        args = _build_parser().parse_args(["--factors", "a.kmat"])
+        assert Scenario(**vars(args)) == Scenario(factors=["a.kmat"])
+
     def test_end_to_end(self, scenario_files, tmp_path):
         files_tmp, factor_paths = scenario_files
         out = tmp_path / "out.csv"

@@ -1,3 +1,4 @@
+import copy
 import struct
 import tracemalloc
 
@@ -13,12 +14,19 @@ from kronsketch.sketches import (
     TensorFamily,
     apply_base,
     apply_tensor_pair,
+    base_columns,
     choose_m,
     materialize,
 )
 from kronsketch.tree import _HEADER, SNAPSHOT_MAGIC, TensorTree, TreeConfig
 
 RNG = np.random.default_rng(314)
+
+FAMILY_PAIRS = [
+    (BaseFamily.COUNT_SKETCH, TensorFamily.TENSOR_SKETCH),
+    (BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT),
+    (BaseFamily.SRHT, TensorFamily.TENSOR_SRHT),
+]
 
 
 def random_factors(q, n_max=8, d_max=3, rng=RNG):
@@ -53,6 +61,42 @@ def check_node_invariants(tree, tol=1e-10):
                 assert np.array_equal(
                     tree.levels[level][k], tree.levels[level - 1][2 * k]
                 )
+
+
+def check_nodes_exact(tree):
+    """Every node is bit for bit the sketch of its stored spec and children."""
+    for i, (spec, f) in enumerate(zip(tree.leaf_specs, tree.factors)):
+        assert np.array_equal(tree.levels[0][i], apply_base(spec, f))
+    for level in range(1, len(tree.levels)):
+        for k, node in enumerate(tree.levels[level]):
+            children = tree.levels[level - 1][2 * k:2 * k + 2]
+            spec = tree.node_specs.get((level, k))
+            expected = children[0] if spec is None else apply_tensor_pair(spec, *children)
+            assert np.array_equal(node, expected)
+
+
+def tree_state(tree):
+    """Everything an update may change, copied, plus the next adaptive seed."""
+    return (
+        [f.copy() for f in tree.factors],
+        [[node.copy() for node in level] for level in tree.levels],
+        list(tree.leaf_specs),
+        dict(tree.node_specs),
+        tree.generation,
+        tree._spec_draws,
+        int(copy.deepcopy(tree._spec_rng).integers(0, 1 << 63)),
+    )
+
+
+def assert_same_state(before, after):
+    factors, levels, *rest = before
+    assert len(after[0]) == len(factors)
+    assert all(np.array_equal(a, b) for a, b in zip(after[0], factors))
+    assert [len(level) for level in after[1]] == [len(level) for level in levels]
+    assert all(
+        np.array_equal(a, b) for la, lb in zip(after[1], levels) for a, b in zip(la, lb)
+    )
+    assert after[2:] == tuple(rest)
 
 
 class TestInitialize:
@@ -174,6 +218,38 @@ class TestUpdate:
         fresh = TensorTree(current, cfg)
         assert node_errors(tree, fresh) <= 1e-9
 
+    @given(
+        st.sampled_from(FAMILY_PAIRS),
+        st.integers(1, 6),
+        st.booleans(),
+        st.integers(0, 2**32),
+        st.lists(st.integers(0, 2**16), min_size=1, max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_nodes_are_recomputed_exactly(self, families, q, adaptive, seed, steps):
+        # static trees equal a fresh build; adaptive trees (mixing both
+        # updates) hold the sketch of each stored spec and children, both
+        # bit for bit
+        rng = np.random.default_rng(seed)
+        factors = [
+            rng.standard_normal((int(rng.integers(2, 7)), int(rng.integers(1, 3))))
+            for _ in range(q)
+        ]
+        cfg = TreeConfig(*families, m=8, adaptive=adaptive, seed=seed)
+        tree = TensorTree(factors, cfg)
+        current = list(factors)
+        for step in steps:
+            i = step % q
+            B = rng.standard_normal(current[i].shape)
+            (tree.update_adaptive if adaptive and step % 3 else tree.update)(i, B)
+            current[i] = current[i] + B
+        if adaptive:
+            check_nodes_exact(tree)
+        else:
+            fresh = TensorTree(current, cfg)
+            for la, lb in zip(tree.levels, fresh.levels, strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(la, lb, strict=True))
+
     def test_shape_mismatch_rejected(self):
         tree = TensorTree(random_factors(2), TreeConfig(m=4, seed=7))
         with pytest.raises(DimensionError):
@@ -227,6 +303,44 @@ class TestUpdateAdaptive:
         assert np.array_equal(tree.levels[0][3], other_leaf)
         assert np.array_equal(tree.levels[1][1], other_pair)
         assert tree.generation == 1
+
+
+class TestFailedUpdate:
+    """An update whose sketch overflows raises and leaves the tree as it was."""
+
+    @staticmethod
+    def _overflow(tree, case, i):
+        if case == "big":
+            return np.full(tree.factors[i].shape, 1.7e308)
+        # m = 1: the leaf sums its rows with the signs of the leaf spec that
+        # the update will use, so sign-aligned rows add up past float range
+        spec = tree.leaf_specs[i]
+        if tree.config.adaptive:
+            seed = int(copy.deepcopy(tree._spec_rng).integers(0, 1 << 63))
+            spec = tree._leaf_spec(spec.input_dim, seed)
+        signs = base_columns(spec, np.arange(spec.input_dim))[0]
+        return 1.7e308 * signs[:, None] * np.ones(tree.factors[i].shape)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize(
+        "case, q", [("big", 3)] + [("aligned", q) for q in range(1, 6)]
+    )
+    def test_raising_update_changes_nothing(self, case, q, adaptive):
+        rng = np.random.default_rng(40 + q)
+        m = 8 if case == "big" else 1
+        factors = [rng.standard_normal((2, 2)) for _ in range(q)]
+        tree = TensorTree(factors, TreeConfig(m=m, adaptive=adaptive, seed=40 + q))
+        if adaptive:  # redrawn specs and a bumped generation to roll back to
+            tree.update_adaptive(q - 1, rng.standard_normal((2, 2)))
+        i = q // 2
+        B = self._overflow(tree, case, i)
+        before = tree_state(tree)
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            (tree.update_adaptive if adaptive else tree.update)(i, B)
+        assert_same_state(before, tree_state(tree))
+        # the tree still works: a finite update lands as usual
+        tree.update(i, rng.standard_normal((2, 2)))
+        check_nodes_exact(tree)
 
 
 class TestSketchVector:
@@ -389,6 +503,19 @@ class TestSnapshot:
         raw[q_at:q_at + 8] = (1 << 62).to_bytes(8, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="truncated"):
+            TensorTree.load(path)
+
+    def test_draw_count_below_stored_seeds_rejected(self, tmp_path):
+        # a count of 0 would make the next adaptive draw repeat leaf 0's seed
+        tree = TensorTree(random_factors(2), TreeConfig(m=3, adaptive=True, seed=5))
+        path = tmp_path / "tree.kttr"
+        tree.save(path)
+        raw = bytearray(path.read_bytes())
+        draws_at = len(SNAPSHOT_MAGIC) + struct.calcsize("<BBQBQ")
+        assert raw[draws_at:draws_at + 8] == (3).to_bytes(8, "little")
+        raw[draws_at:draws_at + 8] = bytes(8)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="spec-draw count 0"):
             TensorTree.load(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
