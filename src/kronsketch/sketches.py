@@ -2,8 +2,9 @@
 
 Base families map R^n -> R^m and are applied to tall factor matrices:
 
-* OSNAP: exactly s signed nonzeros of magnitude 1/sqrt(s) per coordinate,
-  on s distinct output rows.
+* OSNAP (Nelson-Nguyen, FOCS 2013): exactly s signed nonzeros of magnitude
+  1/sqrt(s) per coordinate, on a uniform s-subset of the output rows, drawn
+  for all coordinates at once by a vectorized Floyd's algorithm.
 * CountSketch: OSNAP with s = 1, one signed nonzero per coordinate placed
   by a hash. Both hashing families keep (n, s) hash and sign arrays and
   share one apply path.
@@ -24,15 +25,19 @@ forming the long vector:
 
 Every spec is an immutable value; the hash/sign/sampling internals are a
 pure function of (spec fields, seed), so two materializations of the same
-spec are bit-identical and specs can be shared freely across threads.
+spec are bit-identical. They are drawn on a spec's first use and kept,
+read-only, on the spec itself, so they are freed with it: a tree that
+replaces a spec drops its internals too. Two threads that first use one
+spec at the same time may both draw, identically, so specs can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -123,7 +128,37 @@ def _rademacher(rng: np.random.Generator, size) -> np.ndarray:
     return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
 
 
-@lru_cache(maxsize=4096)
+def _kept_on_spec(draw):
+    """Keep a spec's internals, read-only, on the (frozen) spec itself."""
+
+    @functools.wraps(draw)
+    def internals(spec):
+        out = spec.__dict__.get("_internals")
+        if out is None:
+            out = draw(spec)
+            for arr in out:
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+            object.__setattr__(spec, "_internals", out)
+        return out
+
+    return internals
+
+
+def _distinct_rows(rng: np.random.Generator, n: int, m: int, s: int) -> np.ndarray:
+    """(n, s) array whose row j is a uniform s-subset of range(m).
+
+    Floyd's algorithm on all n rows at once: for j = m - s .. m - 1 draw t
+    in [0, j] per row and keep t, or j if the row already holds t.
+    """
+    rows = np.empty((n, s), dtype=np.int64)
+    for k, j in enumerate(range(m - s, m)):
+        t = rng.integers(0, j + 1, size=n)
+        rows[:, k] = np.where((rows[:, :k] == t[:, None]).any(axis=1), j, t)
+    return rows
+
+
+@_kept_on_spec
 def _base_internals(spec: BaseSketchSpec):
     """Hash/sign/sampling arrays for a base spec, derived from its seed."""
     rng = np.random.default_rng(spec.seed)
@@ -131,23 +166,12 @@ def _base_internals(spec: BaseSketchSpec):
     if spec.family is BaseFamily.SRHT:
         padded = _next_pow2(max(n, m))
         dsign = _rademacher(rng, padded)
-        rows = rng.choice(padded, size=m, replace=False)
-        out = (padded, dsign, rows)
-    else:
-        if spec.family is BaseFamily.COUNT_SKETCH:
-            rows = rng.integers(0, m, size=(n, 1))
-        else:  # OSNAP
-            rows = np.empty((n, spec.sparsity), dtype=np.int64)
-            for j in range(n):
-                rows[j] = rng.choice(m, size=spec.sparsity, replace=False)
-        out = (rows, _rademacher(rng, rows.shape))
-    for arr in out:
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return out
+        return padded, dsign, rng.choice(padded, size=m, replace=False)
+    rows = _distinct_rows(rng, n, m, spec.sparsity or 1)  # CountSketch: s = 1
+    return rows, _rademacher(rng, rows.shape)
 
 
-@lru_cache(maxsize=4096)
+@_kept_on_spec
 def _tensor_internals(spec: TensorSketchSpec):
     """Hash/sign/sampling arrays for a tensor spec, derived from its seed."""
     rng = np.random.default_rng(spec.seed)
@@ -157,18 +181,14 @@ def _tensor_internals(spec: TensorSketchSpec):
         h2 = rng.integers(0, m_out, size=(side, 1))
         s1 = _rademacher(rng, (side, 1))
         s2 = _rademacher(rng, (side, 1))
-        out = (h1, h2, s1, s2)
-    else:  # TensorSRHT
-        padded = _next_pow2(side)
-        d1 = _rademacher(rng, padded)
-        d2 = _rademacher(rng, padded)
-        i_rows = rng.integers(0, padded, size=m_out)
-        j_rows = rng.integers(0, padded, size=m_out)
-        out = (padded, d1, d2, i_rows, j_rows)
-    for arr in out:
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return out
+        return h1, h2, s1, s2
+    # TensorSRHT
+    padded = _next_pow2(side)
+    d1 = _rademacher(rng, padded)
+    d2 = _rademacher(rng, padded)
+    i_rows = rng.integers(0, padded, size=m_out)
+    j_rows = rng.integers(0, padded, size=m_out)
+    return padded, d1, d2, i_rows, j_rows
 
 
 def _hash_apply(rows, sign, A, m) -> np.ndarray:

@@ -52,7 +52,7 @@ from .sketches import (
     materialize,
 )
 
-SNAPSHOT_MAGIC = b"KTTR3"
+SNAPSHOT_MAGIC = b"KTTR4"
 _HEADER = "<BBQBQQQQ"  # c code, t code, m, adaptive, seed, spec draws, generation, q
 
 _BASE_CODES = {f: i for i, f in enumerate(BaseFamily)}
@@ -189,10 +189,14 @@ class TensorTree:
             for i, f in enumerate(factors)
         ]
 
+        # node k of level l sits above leaves i with i >> l == k; ceil(log2 q) levels
+        depth = (len(factors) - 1).bit_length()
+        above = {(level, i >> level) for i in dirty for level in range(1, depth + 1)}
+
         def combine(key, left, right):
-            level, k = key  # node k of a level sits above leaves i with i >> level == k
-            if any(i >> level == k for i in dirty):
+            if key in above:
                 return apply_tensor_pair(node_specs[key], left, right)
+            level, k = key
             return self.levels[level][k]
 
         levels = [leaves, *_fold(leaves, combine)]
@@ -311,7 +315,7 @@ class TensorTree:
     # (spec shapes and families, node matrices) is derived on load
 
     def save(self, path) -> None:
-        """Write a KTTR3 snapshot: header, factors, then the 2q - 1 spec seeds.
+        """Write a KTTR4 snapshot: header, factors, then the 2q - 1 spec seeds.
 
         The seeds are the leaves' in order, then the paired nodes' in
         ``_node_keys`` order.
@@ -342,7 +346,7 @@ class TensorTree:
 
     @classmethod
     def load(cls, path) -> "TensorTree":
-        """Rebuild a tree from a KTTR3 snapshot; malformed input raises ValueError."""
+        """Rebuild a tree from a KTTR4 snapshot; malformed input raises ValueError."""
         with open(path, "rb") as fh:
             raw = fh.read()
         if raw[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -99,6 +102,75 @@ class TestOsnap:
         out = apply_base(spec, np.eye(4))
         assert np.count_nonzero(out[:, 0]) == 6
         assert math.isclose(np.linalg.norm(out[:, 0]), 1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("m, s", [(1, 1), (5, 5), (9, 4), (1024, 8)])
+    def test_rows_distinct_and_in_range(self, m, s):
+        rows, _ = _base_internals(BaseSketchSpec(BaseFamily.OSNAP, 3000, m, s, m + s))
+        assert rows.shape == (3000, s)
+        assert rows.min() >= 0 and rows.max() < m
+        assert np.all(np.diff(np.sort(rows, axis=1), axis=1) > 0)
+
+    def test_subsets_uniform(self):
+        n = 20000
+        rows, _ = _base_internals(BaseSketchSpec(BaseFamily.OSNAP, n, 5, 2, 31))
+        low, high = np.sort(rows, axis=1).T
+        _, counts = np.unique(low * 5 + high, return_counts=True)
+        assert counts.size == 10  # every 2-subset of range(5) occurs
+        assert np.all(np.abs(counts - n / 10) <= 0.05 * n / 10)
+
+    def test_countsketch_is_one_row_draw(self):
+        # s = 1 keeps the CountSketch draw: one integers(0, m) per row, then signs
+        rows, sign = _base_internals(BaseSketchSpec(BaseFamily.COUNT_SKETCH, 40, 7, 0, 9))
+        rng = np.random.default_rng(9)
+        assert np.array_equal(rows, rng.integers(0, 7, size=(40, 1)))
+        assert np.array_equal(sign, rng.integers(0, 2, size=(40, 1)) * 2.0 - 1.0)
+
+
+class TestInternalsOwnership:
+    @pytest.mark.parametrize("spec", BASE_SPECS + TENSOR_SPECS)
+    def test_drawn_once_and_read_only(self, spec):
+        spec = type(spec)(**{f: getattr(spec, f) for f in spec.__dataclass_fields__})
+        internals = _base_internals if isinstance(spec, BaseSketchSpec) else _tensor_internals
+        first = internals(spec)
+        assert internals(spec) is first
+        assert not any(a.flags.writeable for a in first if isinstance(a, np.ndarray))
+
+    def test_hashes_die_with_spec(self):
+        spec = BaseSketchSpec(BaseFamily.OSNAP, 50, 9, 3, 6)
+        hashes = weakref.ref(_base_internals(spec)[0])
+        assert hashes() is not None
+        del spec
+        assert hashes() is None
+
+    def test_concurrent_first_use_draws_identically(self):
+        reference = _base_internals(BaseSketchSpec(BaseFamily.OSNAP, 400, 16, 4, 8))
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                spec = BaseSketchSpec(BaseFamily.OSNAP, 400, 16, 4, 8)
+                threads = [
+                    threading.Thread(target=lambda: results.append(_base_internals(spec)))
+                    for _ in range(6)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert any(_base_internals(spec) is r for r in results[-6:])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 30
+        for rows, sign in results:
+            assert np.array_equal(rows, reference[0]) and np.array_equal(sign, reference[1])
+
+    def test_tensor_internals_die_with_spec(self):
+        spec = TensorSketchSpec(TensorFamily.TENSOR_SRHT, 5, 7, 22)
+        rows = weakref.ref(_tensor_internals(spec)[3])
+        del spec
+        assert rows() is None
 
 
 class TestSrht:

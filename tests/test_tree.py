@@ -1,6 +1,7 @@
 import copy
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from kronsketch.sketches import (
     BaseFamily,
     ConfigurationError,
     TensorFamily,
+    _base_internals,
+    _tensor_internals,
     apply_base,
     apply_tensor_pair,
     base_columns,
@@ -294,6 +297,16 @@ class TestUpdateAdaptive:
         for a, b in zip(tree.factors, factors):
             assert np.allclose(a, b, atol=1e-12)
 
+    def test_replaced_spec_internals_freed(self):
+        config = TreeConfig(BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, m=6, adaptive=True, seed=15)
+        tree = TensorTree(random_factors(3), config)
+        leaf = weakref.ref(_base_internals(tree.leaf_specs[1])[0])
+        node = weakref.ref(_tensor_internals(tree.node_specs[1, 0])[1])
+        kept = _base_internals(tree.leaf_specs[0])[0]
+        tree.update_adaptive(1, np.zeros_like(tree.factors[1]))
+        assert leaf() is None and node() is None
+        assert _base_internals(tree.leaf_specs[0])[0] is kept  # off the path
+
     def test_off_path_nodes_untouched(self):
         factors = [RNG.standard_normal((4, 2)) for _ in range(4)]
         tree = TensorTree(factors, TreeConfig(m=6, adaptive=True, seed=14))
@@ -455,12 +468,21 @@ class TestSnapshot:
         tree = TensorTree([np.eye(2)], TreeConfig(m=3, seed=25))
         path = tmp_path / "tree.kttr"
         tree.save(path)
-        assert path.read_bytes()[:5] == b"KTTR3"
+        assert path.read_bytes()[:5] == b"KTTR4"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.kttr"
         path.write_bytes(b"NOPEx" + b"\x00" * 64)
         with pytest.raises(ValueError):
+            TensorTree.load(path)
+
+    def test_kttr3_rejected(self, tmp_path):
+        # same layout, but a KTTR3 OSNAP leaf drew other hashes from its seed
+        tree = TensorTree([np.eye(2)], TreeConfig(m=3, seed=25))
+        path = tmp_path / "tree.kttr"
+        tree.save(path)
+        path.write_bytes(b"KTTR3" + path.read_bytes()[5:])
+        with pytest.raises(ValueError, match="magic"):
             TensorTree.load(path)
 
     def test_generation_persisted(self, tmp_path):
