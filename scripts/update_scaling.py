@@ -3,8 +3,10 @@
 
 An update touches one leaf-to-root path, so with the sketching dimension
 and total column count held fixed the median update time should grow like
-the tree depth (log q), not like q. Prints a table and the fitted log-log
-exponent. Usage:
+the tree depth (log q), not like q. The q values are timed in interleaved
+rounds (one update per q per round), so a slow phase of the machine hits
+every q alike. Prints each q's median with its quartiles, and the fitted
+log-log exponent of the medians. Usage:
 
     python3 scripts/update_scaling.py [m] [n_i] [reps]
 """
@@ -25,25 +27,26 @@ def main():
     n_i = int(sys.argv[2]) if len(sys.argv) > 2 else 64
     reps = int(sys.argv[3]) if len(sys.argv) > 3 else 60
     qs = [4, 8, 16, 32, 64]
-    print(f"m={m}, n_i={n_i}, d_i=1, {reps} updates per q")
-    print(f"{'q':>4} {'depth':>6} {'median us':>10} {'p90 us':>8}")
-    medians = []
+    trees, deltas = {}, {}
     for q in qs:
         rng = np.random.default_rng(q)
         factors = [rng.standard_normal((n_i, 1)) for _ in range(q)]
-        tree = TensorTree(factors, TreeConfig(m=m, seed=q))
-        B = rng.standard_normal((n_i, 1))
-        samples = []
-        for rep in range(reps + 1):
+        trees[q] = TensorTree(factors, TreeConfig(m=m, seed=q))
+        deltas[q] = rng.standard_normal((n_i, 1))
+        trees[q].update(0, deltas[q])  # warm up caches and FFT plans
+    samples = {q: [] for q in qs}
+    for rep in range(reps):
+        for q in qs:
             t0 = time.perf_counter_ns()
-            tree.update(rep % q, B)
-            samples.append((time.perf_counter_ns() - t0) / 1e3)
-        samples = samples[1:]
-        medians.append(float(np.median(samples)))
-        print(
-            f"{q:>4} {tree.depth:>6} {medians[-1]:>10.1f} "
-            f"{np.percentile(samples, 90):>8.1f}"
-        )
+            trees[q].update(rep % q, deltas[q])
+            samples[q].append((time.perf_counter_ns() - t0) / 1e3)
+    print(f"m={m}, n_i={n_i}, d_i=1, {reps} updates per q in interleaved rounds")
+    print(f"{'q':>4} {'depth':>6} {'median us':>10} {'p25 us':>8} {'p75 us':>8}")
+    medians = []
+    for q in qs:
+        p25, p50, p75 = np.percentile(samples[q], [25, 50, 75])
+        medians.append(float(p50))
+        print(f"{q:>4} {trees[q].depth:>6} {p50:>10.1f} {p25:>8.1f} {p75:>8.1f}")
     slope = float(np.polyfit(np.log(qs), np.log(medians), 1)[0])
     print(f"log-log exponent: {slope:.3f} (1.0 would be linear in q)")
 

@@ -581,10 +581,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", type=int,
                         help="aggregate this many consecutive seeds")
     parser.add_argument("--save-tree", dest="save_tree",
-                        help="write a KTTR4 tree snapshot (config, factors, "
-                             "spec seeds, generation) after the run")
+                        help="write a KTTR5 tree snapshot (config, factors, "
+                             "spec draw indices, generation) after the run")
     parser.add_argument("--resume-tree", dest="resume_tree",
-                        help="rebuild the tree from a KTTR4 snapshot instead of "
+                        help="rebuild the tree from a KTTR5 snapshot instead of "
                              "building it from --factors; --cbase/--tbase must "
                              "match the snapshot, and m comes from it, so "
                              "--eps/--delta/--cfactor do not apply")

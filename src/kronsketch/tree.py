@@ -14,10 +14,12 @@ its two children, keeping every other node, so each node is always what a
 fresh build computes from its spec and children. Nothing is committed until
 the new root is finite: an update that raises leaves the tree as it was.
 
-In adaptive mode an update first redraws the specs on that path, so an
-adversary sees fresh randomness after every update. The ``generation``
-counter exposes this change of the sketching map, so that callers can
-invalidate anything they sketched earlier (for example a label vector).
+A build gives its 2q - 1 specs the draw indices 0..2q-2 (``_draw_seed``).
+In adaptive mode an update first redraws the specs on that path under the
+indices past the largest in use, so an adversary sees fresh randomness after
+every update. The ``generation`` counter exposes this change of the sketching
+map, so that callers can invalidate anything they sketched earlier (for
+example a label vector).
 
 A tree is single-writer: updates need exclusive access, while any number of
 threads may read (root, sketch_vector, queries) between updates.
@@ -45,6 +47,7 @@ from .sketches import (
     ConfigurationError,
     TensorFamily,
     TensorSketchSpec,
+    _check_seed,
     apply_base,
     apply_tensor_cols,
     apply_tensor_pair,
@@ -52,8 +55,8 @@ from .sketches import (
     materialize,
 )
 
-SNAPSHOT_MAGIC = b"KTTR4"
-_HEADER = "<BBQBQQQQ"  # c code, t code, m, adaptive, seed, spec draws, generation, q
+SNAPSHOT_MAGIC = b"KTTR5"
+_HEADER = "<BBQBQQQ"  # c code, t code, m, adaptive, seed, generation, q
 
 _BASE_CODES = {f: i for i, f in enumerate(BaseFamily)}
 _TENSOR_CODES = {f: i for i, f in enumerate(TensorFamily)}
@@ -74,8 +77,15 @@ class TreeConfig:
         object.__setattr__(self, "t_family", TensorFamily(self.t_family))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError("seed must fit in 64 bits")
+        _check_seed(self.seed)
+
+
+def _draw_seed(seed: int, k: int) -> int:
+    """Seed of spec draw k: the k-th ``integers(0, 1 << 63)`` of ``default_rng(seed)``,
+    computed alone by jump-ahead, as each such draw takes one 64-bit output."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(k)
+    return int(rng.integers(0, 1 << 63))
 
 
 def _fold(nodes, combine):
@@ -113,7 +123,7 @@ class TensorTree:
 
     def __init__(self, factors, config: TreeConfig):
         self._init_state(factors, config)
-        self._init_specs(iter(self._next_seed, None))  # draws seeds as needed
+        self._init_specs(range(2 * self.q - 1))
 
     def _init_state(self, factors, config: TreeConfig) -> None:
         """Checks and counters shared by a fresh build and a snapshot load."""
@@ -130,8 +140,6 @@ class TensorTree:
             raise DimensionError(
                 f"root of shape {config.m} x {d} exceeds element limit"
             )
-        self._spec_rng = np.random.default_rng(config.seed)
-        self._spec_draws = 0
         self.generation = 0
         self.recompute_counter = 0
 
@@ -159,27 +167,25 @@ class TensorTree:
     # ------------------------------------------------------------------
     # spec drawing
 
-    def _next_seed(self) -> int:
-        self._spec_draws += 1
-        return int(self._spec_rng.integers(0, 1 << 63))
-
-    def _leaf_spec(self, n: int, seed: int) -> BaseSketchSpec:
+    def _leaf_spec(self, n: int, k: int) -> BaseSketchSpec:
         cfg = self.config
         osnap = cfg.c_family is BaseFamily.OSNAP
         sparsity = min(DEFAULT_OSNAP_SPARSITY, cfg.m) if osnap else 0
-        return BaseSketchSpec(cfg.c_family, n, cfg.m, sparsity, seed)
+        return BaseSketchSpec(cfg.c_family, n, cfg.m, sparsity, _draw_seed(cfg.seed, k))
 
-    def _node_spec(self, seed: int) -> TensorSketchSpec:
-        return TensorSketchSpec(self.config.t_family, self.config.m, self.config.m, seed)
+    def _node_spec(self, k: int) -> TensorSketchSpec:
+        cfg = self.config
+        return TensorSketchSpec(cfg.t_family, cfg.m, cfg.m, _draw_seed(cfg.seed, k))
 
     # ------------------------------------------------------------------
     # construction
 
-    def _init_specs(self, seeds) -> None:
-        """Leaf then node specs (``_node_keys`` order) on successive seeds; then all nodes."""
-        leaf_specs = [self._leaf_spec(f.shape[0], next(seeds)) for f in self.factors]
-        node_specs = {key: self._node_spec(next(seeds)) for key in _node_keys(self.q)}
+    def _init_specs(self, draws) -> None:
+        """Leaf then node specs (``_node_keys`` order) from their draw indices; then all nodes."""
+        leaf_specs = [self._leaf_spec(f.shape[0], k) for f, k in zip(self.factors, draws)]
+        node_specs = dict(zip(_node_keys(self.q), map(self._node_spec, draws[self.q:])))
         self._refold(range(self.q), self.factors, leaf_specs, node_specs)
+        self.draws = list(draws)
 
     def _refold(self, dirty, factors, leaf_specs, node_specs) -> None:
         """Recompute the ``dirty`` leaves and the nodes above them, reusing the rest,
@@ -233,27 +239,27 @@ class TensorTree:
     def update_adaptive(self, i: int, B) -> None:
         """Apply A_i <- A_i + B with fresh sketches along the path.
 
-        Leaf i, then each paired node above it, bottom-up, gets a newly drawn
-        spec, so no randomness is reused where the update landed. A call that
-        raises also rewinds the draws, so the next seed is unchanged too.
+        Leaf i, then each paired node above it, bottom-up, gets the spec of the
+        next draw index past the largest in use, so no randomness is reused
+        where the update landed. The indices are stored only once the refold
+        has committed, so a call that raises leaves the next seed unchanged.
         """
         if not self.config.adaptive:
             raise ConfigurationError(
                 "update_adaptive requires a tree built with adaptive=True"
             )
         factors = self._updated_factors(i, B)
-        saved = self._spec_rng.bit_generator.state, self._spec_draws
-        try:
-            leaf_specs = list(self.leaf_specs)
-            leaf_specs[i] = self._leaf_spec(factors[i].shape[0], self._next_seed())
-            node_specs = dict(self.node_specs)
-            for level, k in _node_keys(self.q):  # level by level, so bottom-up
-                if i >> level == k:
-                    node_specs[level, k] = self._node_spec(self._next_seed())
-            self._refold({i}, factors, leaf_specs, node_specs)
-        except BaseException:
-            self._spec_rng.bit_generator.state, self._spec_draws = saved
-            raise
+        draws = list(self.draws)
+        draws[i] = k = max(draws) + 1
+        leaf_specs = list(self.leaf_specs)
+        leaf_specs[i] = self._leaf_spec(factors[i].shape[0], k)
+        node_specs = dict(self.node_specs)
+        for slot, (level, node) in enumerate(_node_keys(self.q), self.q):  # bottom-up
+            if i >> level == node:
+                draws[slot] = k = k + 1
+                node_specs[level, node] = self._node_spec(k)
+        self._refold({i}, factors, leaf_specs, node_specs)
+        self.draws = draws
         self.recompute_counter = len(self.levels)
         self.generation += 1
 
@@ -311,13 +317,13 @@ class TensorTree:
         return mats[0]
 
     # ------------------------------------------------------------------
-    # snapshots: config, counters, factors and spec seeds; everything else
-    # (spec shapes and families, node matrices) is derived on load
+    # snapshots: config, generation, factors and spec draw indices; everything
+    # else (spec seeds, shapes and families, node matrices) is derived on load
 
     def save(self, path) -> None:
-        """Write a KTTR4 snapshot: header, factors, then the 2q - 1 spec seeds.
+        """Write a KTTR5 snapshot: header, factors, then the 2q - 1 draw indices.
 
-        The seeds are the leaves' in order, then the paired nodes' in
+        The indices are the leaves' in order, then the paired nodes' in
         ``_node_keys`` order.
         """
         cfg = self.config
@@ -330,7 +336,6 @@ class TensorTree:
                 cfg.m,
                 int(cfg.adaptive),
                 cfg.seed,
-                self._spec_draws,
                 self.generation,
                 self.q,
             )
@@ -338,15 +343,13 @@ class TensorTree:
         for f in self.factors:
             parts.append(struct.pack("<QQ", f.shape[0], f.shape[1]))
             parts.append(f.astype("<f8").tobytes())
-        seeds = [spec.seed for spec in self.leaf_specs]
-        seeds += [self.node_specs[key].seed for key in _node_keys(self.q)]
-        parts.append(struct.pack(f"<{len(seeds)}Q", *seeds))
+        parts.append(struct.pack(f"<{len(self.draws)}Q", *self.draws))
         with open(path, "wb") as fh:
             fh.write(b"".join(parts))
 
     @classmethod
     def load(cls, path) -> "TensorTree":
-        """Rebuild a tree from a KTTR4 snapshot; malformed input raises ValueError."""
+        """Rebuild a tree from a KTTR5 snapshot; malformed input raises ValueError."""
         with open(path, "rb") as fh:
             raw = fh.read()
         if raw[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
@@ -362,7 +365,7 @@ class TensorTree:
             off += size
             return vals
 
-        cb, tb, m, adaptive, seed, draws, generation, q = take(_HEADER)
+        cb, tb, m, adaptive, seed, generation, q = take(_HEADER)
         if cb >= len(BaseFamily) or tb >= len(TensorFamily):
             raise ValueError(f"unknown sketch family codes {cb}, {tb} in tree snapshot")
         config = TreeConfig(
@@ -380,15 +383,12 @@ class TensorTree:
             factors.append(data.reshape(rows, cols).copy())
         tree = cls.__new__(cls)
         tree._init_state(factors, config)  # q >= 1 from here on
-        # q is now bounded by the file size, so the seed count is too
-        seeds = take(f"<{2 * q - 1}Q")
+        # q is now bounded by the file size, so the index count is too
+        draws = take(f"<{2 * q - 1}Q")
         if off != len(raw):
             raise ValueError("trailing bytes after tree snapshot")
-        if draws < len(seeds):  # a smaller count would draw stored seeds again
-            raise ValueError(f"spec-draw count {draws} < {len(seeds)} stored seeds")
-        # each spec seed consumed exactly one 64-bit output of the stream
-        tree._spec_rng.bit_generator.advance(draws)
-        tree._spec_draws = draws
+        if len(set(draws)) < len(draws):  # two specs would share one seed
+            raise ValueError("repeated spec draw index in tree snapshot")
         tree.generation = generation
-        tree._init_specs(iter(seeds))
+        tree._init_specs(draws)
         return tree

@@ -1,11 +1,10 @@
-import copy
 import struct
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kronsketch.linalg import DimensionError, SparseVector, kron, kron_chain
@@ -21,7 +20,7 @@ from kronsketch.sketches import (
     choose_m,
     materialize,
 )
-from kronsketch.tree import _HEADER, SNAPSHOT_MAGIC, TensorTree, TreeConfig
+from kronsketch.tree import _HEADER, SNAPSHOT_MAGIC, TensorTree, TreeConfig, _draw_seed
 
 RNG = np.random.default_rng(314)
 
@@ -86,8 +85,8 @@ def tree_state(tree):
         list(tree.leaf_specs),
         dict(tree.node_specs),
         tree.generation,
-        tree._spec_draws,
-        int(copy.deepcopy(tree._spec_rng).integers(0, 1 << 63)),
+        list(tree.draws),
+        _draw_seed(tree.config.seed, max(tree.draws) + 1),
     )
 
 
@@ -137,6 +136,8 @@ class TestInitialize:
             TreeConfig(m=0)
         with pytest.raises(ValueError):
             TreeConfig(seed=-1)
+        with pytest.raises(ValueError):
+            TreeConfig(seed=1 << 64)
 
     def test_column_blowup_rejected(self):
         factors = [np.ones((2, 64)) for _ in range(8)]  # d = 64^8
@@ -148,6 +149,20 @@ class TestInitialize:
         a = TensorTree(factors, TreeConfig(m=8, seed=11))
         b = TensorTree(factors, TreeConfig(m=8, seed=11))
         assert node_errors(a, b) == 0.0
+
+
+class TestDrawSeed:
+    @pytest.mark.parametrize("seed", [0, 5, 801, 2**64 - 1])
+    def test_equals_kth_draw_of_the_stream(self, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(500):
+            assert _draw_seed(seed, k) == int(rng.integers(0, 1 << 63))
+
+    def test_build_uses_the_first_indices(self):
+        tree = TensorTree(random_factors(5), TreeConfig(m=4, seed=30))
+        assert tree.draws == list(range(9))
+        assert [s.seed for s in tree.leaf_specs] == [_draw_seed(30, k) for k in range(5)]
+        assert tree.node_specs[3, 0].seed == _draw_seed(30, 8)
 
 
 class TestUpdate:
@@ -329,8 +344,7 @@ class TestFailedUpdate:
         # the update will use, so sign-aligned rows add up past float range
         spec = tree.leaf_specs[i]
         if tree.config.adaptive:
-            seed = int(copy.deepcopy(tree._spec_rng).integers(0, 1 << 63))
-            spec = tree._leaf_spec(spec.input_dim, seed)
+            spec = tree._leaf_spec(spec.input_dim, max(tree.draws) + 1)
         signs = base_columns(spec, np.arange(spec.input_dim))[0]
         return 1.7e308 * signs[:, None] * np.ones(tree.factors[i].shape)
 
@@ -459,16 +473,50 @@ class TestSnapshot:
         tree.save(path)
         loaded = TensorTree.load(path)
         assert loaded.leaf_specs == tree.leaf_specs
-        # the spec stream continues where the saved tree stopped
+        # the draw indices continue where the saved tree stopped
         loaded.update_adaptive(0, np.zeros_like(loaded.factors[0]))
         tree.update_adaptive(0, np.zeros_like(tree.factors[0]))
         assert loaded.leaf_specs[0].seed == tree.leaf_specs[0].seed
+
+    @given(
+        st.sampled_from(FAMILY_PAIRS),
+        st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), min_size=1, max_size=6),
+        st.integers(1, 12),
+        st.integers(0, 2**64 - 1),
+        st.lists(st.integers(0, 5), max_size=4),
+    )
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_load_matches_saved_tree(self, tmp_path, families, shapes, m, seed, steps):
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal(shape) for shape in shapes]
+        tree = TensorTree(factors, TreeConfig(*families, m=m, adaptive=True, seed=seed))
+        for step in steps:
+            i = step % tree.q
+            tree.update_adaptive(i, rng.standard_normal(tree.factors[i].shape))
+        path = tmp_path / "tree.kttr"
+        tree.save(path)
+        loaded = TensorTree.load(path)
+        assert (loaded.config, loaded.draws, loaded.generation) == (
+            tree.config, tree.draws, tree.generation
+        )
+        assert (loaded.leaf_specs, loaded.node_specs) == (tree.leaf_specs, tree.node_specs)
+        for la, lb in zip(loaded.levels, tree.levels, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(la, lb, strict=True))
+        # the next adaptive update draws the same seeds in both trees
+        i = len(steps) % tree.q
+        for t in (tree, loaded):
+            t.update_adaptive(i, np.zeros_like(t.factors[i]))
+        assert loaded.draws == tree.draws
+        assert (loaded.leaf_specs, loaded.node_specs) == (tree.leaf_specs, tree.node_specs)
 
     def test_magic_bytes(self, tmp_path):
         tree = TensorTree([np.eye(2)], TreeConfig(m=3, seed=25))
         path = tmp_path / "tree.kttr"
         tree.save(path)
-        assert path.read_bytes()[:5] == b"KTTR4"
+        assert path.read_bytes()[:5] == b"KTTR5"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.kttr"
@@ -477,13 +525,16 @@ class TestSnapshot:
             TensorTree.load(path)
 
     def test_kttr3_rejected(self, tmp_path):
-        # same layout, but a KTTR3 OSNAP leaf drew other hashes from its seed
+        # a KTTR3 OSNAP leaf drew other hashes from its seed, and KTTR3/KTTR4
+        # headers carry a draw counter and trail seeds, not draw indices
         tree = TensorTree([np.eye(2)], TreeConfig(m=3, seed=25))
         path = tmp_path / "tree.kttr"
         tree.save(path)
-        path.write_bytes(b"KTTR3" + path.read_bytes()[5:])
-        with pytest.raises(ValueError, match="magic"):
-            TensorTree.load(path)
+        body = path.read_bytes()[5:]
+        for magic in (b"KTTR3", b"KTTR4"):
+            path.write_bytes(magic + body)
+            with pytest.raises(ValueError, match="magic"):
+                TensorTree.load(path)
 
     def test_generation_persisted(self, tmp_path):
         tree = TensorTree(random_factors(3), TreeConfig(m=5, adaptive=True, seed=27))
@@ -527,18 +578,32 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="truncated"):
             TensorTree.load(path)
 
-    def test_draw_count_below_stored_seeds_rejected(self, tmp_path):
-        # a count of 0 would make the next adaptive draw repeat leaf 0's seed
+    def test_repeated_draw_index_rejected(self, tmp_path):
+        # two specs under one draw index would share one seed
         tree = TensorTree(random_factors(2), TreeConfig(m=3, adaptive=True, seed=5))
         path = tmp_path / "tree.kttr"
         tree.save(path)
         raw = bytearray(path.read_bytes())
-        draws_at = len(SNAPSHOT_MAGIC) + struct.calcsize("<BBQBQ")
-        assert raw[draws_at:draws_at + 8] == (3).to_bytes(8, "little")
-        raw[draws_at:draws_at + 8] = bytes(8)
+        assert raw[-24:] == struct.pack("<3Q", 0, 1, 2)
+        raw[-16:-8] = struct.pack("<Q", 0)  # leaf 1 takes leaf 0's index
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="spec-draw count 0"):
+        with pytest.raises(ValueError, match="repeated spec draw index"):
             TensorTree.load(path)
+
+    def test_next_draw_after_load_is_fresh(self, tmp_path):
+        rng = np.random.default_rng(29)
+        tree = TensorTree(random_factors(4, rng=rng), TreeConfig(m=4, adaptive=True, seed=29))
+        for i in (3, 0, 3):
+            tree.update_adaptive(i, rng.standard_normal(tree.factors[i].shape))
+        path = tmp_path / "tree.kttr"
+        tree.save(path)
+        loaded = TensorTree.load(path)
+        stored = {s.seed for s in [*loaded.leaf_specs, *loaded.node_specs.values()]}
+        assert len(stored) == 7
+        loaded.update_adaptive(1, np.zeros_like(loaded.factors[1]))
+        assert loaded.leaf_specs[1].seed not in stored
+        assert loaded.node_specs[1, 0].seed not in stored
+        assert loaded.node_specs[2, 0].seed not in stored
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path, raw = self._saved(tmp_path)
@@ -548,7 +613,7 @@ class TestSnapshot:
 
     def test_zero_factors_rejected(self, tmp_path):
         path = tmp_path / "empty.kttr"
-        header = struct.pack(_HEADER, 0, 0, 3, 0, 28, 0, 0, 0)  # q = 0
+        header = struct.pack(_HEADER, 0, 0, 3, 0, 28, 0, 0)  # q = 0
         path.write_bytes(SNAPSHOT_MAGIC + header)
         with pytest.raises(DimensionError, match="at least one factor"):
             TensorTree.load(path)
