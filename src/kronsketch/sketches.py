@@ -6,8 +6,9 @@ Base families map R^n -> R^m and are applied to tall factor matrices:
   1/sqrt(s) per coordinate, on a uniform s-subset of the output rows, drawn
   for all coordinates at once by a vectorized Floyd's algorithm.
 * CountSketch: OSNAP with s = 1, one signed nonzero per coordinate placed
-  by a hash. Both hashing families keep (n, s) hash and sign arrays and
-  share one apply path.
+  by a hash. Both hashing families keep (n, s) hash and sign arrays and,
+  built once from them, the sketch itself as a sparse m x n CSC matrix, so
+  their apply is one sparse product: one pass over the nonzeros.
 * SRHT: sign flip, orthonormal Walsh-Hadamard transform, row sampling
   without replacement, scaled by sqrt(padded/m). Inputs are zero-padded to
   the next power of two >= max(n, m).
@@ -17,19 +18,19 @@ Kronecker columns u (x) v, which they consume as the pair (u, v) without
 forming the long vector:
 
 * TensorSketch: count-sketch each side with its own (hash, sign) pair, in
-  the same (side, 1) layout and through the same apply as a CountSketch
+  the same (side, 1) layout, sparse matrix and apply as a CountSketch
   leaf, and cyclically convolve the two images (a product of their rffts).
 * TensorSRHT: per output row r, the product of one coordinate of H D1 u and
   one of H D2 v (H the unnormalized +-1 Hadamard matrix on the padded
   side), scaled by 1/sqrt(m_out).
 
-Every spec is an immutable value; the hash/sign/sampling internals are a
-pure function of (spec fields, seed), so two materializations of the same
-spec are bit-identical. They are drawn on a spec's first use and kept,
-read-only, on the spec itself, so they are freed with it: a tree that
-replaces a spec drops its internals too. Two threads that first use one
-spec at the same time may both draw, identically, so specs can be shared
-freely across threads.
+Every spec is an immutable value; the hash/sign/sampling internals, and the
+sparse matrices built from them, are a pure function of (spec fields, seed),
+so two materializations of the same spec are bit-identical. They are drawn
+on a spec's first use and kept, read-only, on the spec itself, so they are
+freed with it: a tree that replaces a spec drops its internals too. Two
+threads that first use one spec at the same time may both draw, identically,
+so specs can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
 from .linalg import (
     MAX_ELEMENTS,
@@ -136,9 +138,11 @@ def _kept_on_spec(draw):
         out = spec.__dict__.get("_internals")
         if out is None:
             out = draw(spec)
-            for arr in out:
-                if isinstance(arr, np.ndarray):
-                    arr.flags.writeable = False
+            for item in out:
+                is_csc = isinstance(item, sparse.csc_array)
+                for arr in (item.data, item.indices, item.indptr) if is_csc else (item,):
+                    if isinstance(arr, np.ndarray):
+                        arr.flags.writeable = False
             object.__setattr__(spec, "_internals", out)
         return out
 
@@ -168,7 +172,8 @@ def _base_internals(spec: BaseSketchSpec):
         dsign = _rademacher(rng, padded)
         return padded, dsign, rng.choice(padded, size=m, replace=False)
     rows = _distinct_rows(rng, n, m, spec.sparsity or 1)  # CountSketch: s = 1
-    return rows, _rademacher(rng, rows.shape)
+    sign = _rademacher(rng, rows.shape)
+    return rows, sign, _hash_matrix(rows, sign, m)
 
 
 @_kept_on_spec
@@ -181,7 +186,8 @@ def _tensor_internals(spec: TensorSketchSpec):
         h2 = rng.integers(0, m_out, size=(side, 1))
         s1 = _rademacher(rng, (side, 1))
         s2 = _rademacher(rng, (side, 1))
-        return h1, h2, s1, s2
+        S1, S2 = _hash_matrix(h1, s1, m_out), _hash_matrix(h2, s2, m_out)
+        return h1, h2, s1, s2, S1, S2
     # TensorSRHT
     padded = _next_pow2(side)
     d1 = _rademacher(rng, padded)
@@ -191,19 +197,28 @@ def _tensor_internals(spec: TensorSketchSpec):
     return padded, d1, d2, i_rows, j_rows
 
 
-def _hash_apply(rows, sign, A, m) -> np.ndarray:
-    """Hashing sketch of A: sign[j, k] * A[j] is added to output row rows[j, k].
+def _hash_matrix(rows, sign, m) -> sparse.csc_array:
+    """The m x n hashing sketch: column j holds sign[j, k] / sqrt(s) at row rows[j, k].
 
-    ``rows`` and ``sign`` are (n, s) and the sum is scaled by 1/sqrt(s).
-    CountSketch (s = 1) skips that pass, as its scale is exactly 1.
+    ``rows`` and ``sign`` are (n, s). Every column holds s entries, so the
+    column pointers are a plain arange and nothing is sorted.
     """
-    s = rows.shape[1]
-    out = np.zeros((m, A.shape[1]))
-    for k in range(s):
-        np.add.at(out, rows[:, k], sign[:, k][:, None] * A)
-    if s > 1:
-        out /= math.sqrt(s)
-    return out
+    n, s = rows.shape
+    return sparse.csc_array(
+        (sign.ravel() / math.sqrt(s), rows.ravel(), np.arange(0, n * s + 1, s)),
+        shape=(m, n),
+    )
+
+
+def _hash_apply(S: sparse.csc_array, A) -> np.ndarray:
+    """Hashing sketch of A as the sparse product S @ A, one pass over S's nonzeros.
+
+    The CSC kernel adds each output row's terms in ascending input row j, so
+    with s = 1 (CountSketch, TensorSketch sides) every sum runs in the order
+    of a scatter over j and is bit for bit the same. With s > 1 the terms are
+    scaled by 1/sqrt(s) before they are summed.
+    """
+    return S @ A
 
 
 def _srht_rows(padded, dsign, rows, A) -> np.ndarray:
@@ -227,8 +242,7 @@ def apply_base(spec: BaseSketchSpec, A) -> np.ndarray:
             f"A has {A.shape[0]} rows, spec expects {spec.input_dim}"
         )
     if spec.family is not BaseFamily.SRHT:
-        rows, sign = _base_internals(spec)
-        return _hash_apply(rows, sign, A, spec.output_dim)
+        return _hash_apply(_base_internals(spec)[2], A)
     padded, dsign, rows = _base_internals(spec)
     # sqrt(padded/m) rescale times the 1/sqrt(padded) Hadamard normalization
     return _srht_rows(padded, dsign, rows, A) / math.sqrt(rows.size)
@@ -249,7 +263,7 @@ def base_columns(spec: BaseSketchSpec, indices) -> np.ndarray:
     m = spec.output_dim
     t = idx.size
     if spec.family is not BaseFamily.SRHT:
-        rows, sign = _base_internals(spec)
+        rows, sign, _ = _base_internals(spec)
         s = rows.shape[1]
         cols = np.zeros((m, t))
         cols[rows[idx].ravel(), np.repeat(np.arange(t), s)] = (
@@ -280,15 +294,14 @@ def _hadamard_matrix(p: int) -> np.ndarray:
 def _tensor_side(spec: TensorSketchSpec, U: np.ndarray, k: int) -> np.ndarray:
     """Transform of input k (0 left, 1 right) by its side of a tensor spec.
 
-    TensorSketch count-sketches with side k's (hash, sign) and takes the
-    rfft; TensorSRHT sign-flips with side k's diagonal, runs the Hadamard
-    transform, and samples side k's rows. A Kronecker column then sketches
-    to the finished product of its two transformed sides.
+    TensorSketch count-sketches with side k's sparse hashing matrix and
+    takes the rfft; TensorSRHT sign-flips with side k's diagonal, runs the
+    Hadamard transform, and samples side k's rows. A Kronecker column then
+    sketches to the finished product of its two transformed sides.
     """
     if spec.family is TensorFamily.TENSOR_SKETCH:
-        h1, h2, s1, s2 = _tensor_internals(spec)
-        h, sign = (h1, s1) if k == 0 else (h2, s2)
-        return np.fft.rfft(_hash_apply(h, sign, U, spec.output_dim), axis=0)
+        S = _tensor_internals(spec)[4 + k]
+        return np.fft.rfft(_hash_apply(S, U), axis=0)
     padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
     dsign, rows = (d1, i_rows) if k == 0 else (d2, j_rows)
     return _srht_rows(padded, dsign, rows, U)
@@ -351,7 +364,7 @@ def materialize(spec) -> np.ndarray:
         if n * m > MAX_ELEMENTS:
             raise DimensionError("materialized sketch exceeds element limit")
         if spec.family is not BaseFamily.SRHT:
-            rows, sign = _base_internals(spec)
+            rows, sign, _ = _base_internals(spec)
             s = rows.shape[1]
             Z = np.zeros((m, n))
             cols = np.repeat(np.arange(n), s)
@@ -366,7 +379,7 @@ def materialize(spec) -> np.ndarray:
         if m_out * side * side > MAX_ELEMENTS:
             raise DimensionError("materialized sketch exceeds element limit")
         if spec.family is TensorFamily.TENSOR_SKETCH:
-            h1, h2, s1, s2 = _tensor_internals(spec)
+            h1, h2, s1, s2, _, _ = _tensor_internals(spec)
             Z = np.zeros((m_out, side * side))
             i = np.arange(side)
             rows = (h1 + h2.T) % m_out

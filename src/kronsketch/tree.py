@@ -42,6 +42,7 @@ from .linalg import (
 )
 from .sketches import (
     DEFAULT_OSNAP_SPARSITY,
+    MAX_SEED,
     BaseFamily,
     BaseSketchSpec,
     ConfigurationError,
@@ -243,6 +244,8 @@ class TensorTree:
         next draw index past the largest in use, so no randomness is reused
         where the update landed. The indices are stored only once the refold
         has committed, so a call that raises leaves the next seed unchanged.
+        A call whose new indices would not fit a snapshot's 64 bits raises
+        before the refold.
         """
         if not self.config.adaptive:
             raise ConfigurationError(
@@ -258,6 +261,8 @@ class TensorTree:
             if i >> level == node:
                 draws[slot] = k = k + 1
                 node_specs[level, node] = self._node_spec(k)
+        if k >= MAX_SEED:
+            raise ValueError(f"spec draw index {k} does not fit in 64 bits")
         self._refold({i}, factors, leaf_specs, node_specs)
         self.draws = draws
         self.recompute_counter = len(self.levels)

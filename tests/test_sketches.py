@@ -5,6 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from kronsketch.linalg import DimensionError, kron
 from kronsketch.sketches import (
@@ -15,7 +18,9 @@ from kronsketch.sketches import (
     TensorSketchSpec,
     _base_internals,
     _hash_apply,
+    _hash_matrix,
     _tensor_internals,
+    _tensor_side,
     apply_base,
     apply_tensor_cols,
     apply_tensor_pair,
@@ -81,7 +86,7 @@ class TestCountSketch:
         # both coordinates hash to output row 0 with opposite signs
         h = np.array([[0], [0]])
         sign = np.array([[1.0], [-1.0]])
-        out = _hash_apply(h, sign, np.eye(2), 3)
+        out = _hash_apply(_hash_matrix(h, sign, 3), np.eye(2))
         assert np.array_equal(out, [[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_zero_matrix(self):
@@ -105,14 +110,14 @@ class TestOsnap:
 
     @pytest.mark.parametrize("m, s", [(1, 1), (5, 5), (9, 4), (1024, 8)])
     def test_rows_distinct_and_in_range(self, m, s):
-        rows, _ = _base_internals(BaseSketchSpec(BaseFamily.OSNAP, 3000, m, s, m + s))
+        rows, _, _ = _base_internals(BaseSketchSpec(BaseFamily.OSNAP, 3000, m, s, m + s))
         assert rows.shape == (3000, s)
         assert rows.min() >= 0 and rows.max() < m
         assert np.all(np.diff(np.sort(rows, axis=1), axis=1) > 0)
 
     def test_subsets_uniform(self):
         n = 20000
-        rows, _ = _base_internals(BaseSketchSpec(BaseFamily.OSNAP, n, 5, 2, 31))
+        rows, _, _ = _base_internals(BaseSketchSpec(BaseFamily.OSNAP, n, 5, 2, 31))
         low, high = np.sort(rows, axis=1).T
         _, counts = np.unique(low * 5 + high, return_counts=True)
         assert counts.size == 10  # every 2-subset of range(5) occurs
@@ -120,7 +125,7 @@ class TestOsnap:
 
     def test_countsketch_is_one_row_draw(self):
         # s = 1 keeps the CountSketch draw: one integers(0, m) per row, then signs
-        rows, sign = _base_internals(BaseSketchSpec(BaseFamily.COUNT_SKETCH, 40, 7, 0, 9))
+        rows, sign, _ = _base_internals(BaseSketchSpec(BaseFamily.COUNT_SKETCH, 40, 7, 0, 9))
         rng = np.random.default_rng(9)
         assert np.array_equal(rows, rng.integers(0, 7, size=(40, 1)))
         assert np.array_equal(sign, rng.integers(0, 2, size=(40, 1)) * 2.0 - 1.0)
@@ -133,14 +138,20 @@ class TestInternalsOwnership:
         internals = _base_internals if isinstance(spec, BaseSketchSpec) else _tensor_internals
         first = internals(spec)
         assert internals(spec) is first
-        assert not any(a.flags.writeable for a in first if isinstance(a, np.ndarray))
+        hashing = spec.family not in (BaseFamily.SRHT, TensorFamily.TENSOR_SRHT)
+        matrices = [a for a in first if isinstance(a, sparse.csc_array)]
+        assert len(matrices) == hashing * (1 + isinstance(spec, TensorSketchSpec))
+        arrays = [a for a in first if isinstance(a, np.ndarray)]
+        arrays += [a for S in matrices for a in (S.data, S.indices, S.indptr)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
     def test_hashes_die_with_spec(self):
         spec = BaseSketchSpec(BaseFamily.OSNAP, 50, 9, 3, 6)
         hashes = weakref.ref(_base_internals(spec)[0])
-        assert hashes() is not None
+        matrix = weakref.ref(_base_internals(spec)[2])
+        assert hashes() is not None and matrix() is not None
         del spec
-        assert hashes() is None
+        assert hashes() is None and matrix() is None
 
     def test_concurrent_first_use_draws_identically(self):
         reference = _base_internals(BaseSketchSpec(BaseFamily.OSNAP, 400, 16, 4, 8))
@@ -163,7 +174,7 @@ class TestInternalsOwnership:
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 30
-        for rows, sign in results:
+        for rows, sign, _ in results:
             assert np.array_equal(rows, reference[0]) and np.array_equal(sign, reference[1])
 
     def test_tensor_internals_die_with_spec(self):
@@ -171,6 +182,65 @@ class TestInternalsOwnership:
         rows = weakref.ref(_tensor_internals(spec)[3])
         del spec
         assert rows() is None
+
+
+def _add_at_apply(rows, sign, A, m):
+    """Reference hashing apply: scatter sign[j, k] * A[j] into row rows[j, k] with
+    np.add.at, one pass per k, then scale the sums by 1/sqrt(s)."""
+    s = rows.shape[1]
+    out = np.zeros((m, A.shape[1]))
+    for k in range(s):
+        np.add.at(out, rows[:, k], sign[:, k][:, None] * A)
+    if s > 1:
+        out /= math.sqrt(s)
+    return out
+
+
+class TestHashApply:
+    """The sparse product against the scatter it replaced.
+
+    Small m against up to 12 inputs makes hash rows collide. With s = 1 each
+    output row sums its terms in the scatter's order, so the product is bit
+    for bit the scatter; with s > 1 the terms are scaled before they are
+    summed, which moves the result by rounding only.
+    """
+
+    @given(
+        st.integers(1, 12), st.integers(1, 6), st.integers(0, 6), st.integers(0, 5),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_base_matches_scatter(self, n, m, s, d, seed):
+        s = min(s, m)
+        family = BaseFamily.OSNAP if s else BaseFamily.COUNT_SKETCH
+        spec = BaseSketchSpec(family, n, m, s, seed)
+        rows, sign, _ = _base_internals(spec)
+        A = np.random.default_rng(seed).standard_normal((n, d))
+        out, expected = apply_base(spec, A), _add_at_apply(rows, sign, A, m)
+        assert out.shape == (m, d)
+        if rows.shape[1] == 1:
+            assert np.array_equal(out, expected)
+        else:
+            assert np.all(np.abs(out - expected) <= 1e-15 * np.abs(A).sum())
+
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 5), st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_tensorsketch_sides_match_scatter(self, side, m, d, seed):
+        spec = TensorSketchSpec(TensorFamily.TENSOR_SKETCH, side, m, seed)
+        h1, h2, s1, s2, _, _ = _tensor_internals(spec)
+        U = np.random.default_rng(seed).standard_normal((side, d))
+        for k, (h, sign) in enumerate([(h1, s1), (h2, s2)]):
+            expected = np.fft.rfft(_add_at_apply(h, sign, U, m), axis=0)
+            assert np.array_equal(_tensor_side(spec, U, k), expected)
+
+    def test_matrix_layout(self):
+        rows = np.array([[2, 0], [1, 2], [0, 1]])
+        sign = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+        S = _hash_matrix(rows, sign, 3)
+        assert S.shape == (3, 3) and S.format == "csc"
+        assert np.array_equal(S.indptr, [0, 2, 4, 6])
+        assert np.array_equal(S.indices, rows.ravel())
+        assert np.array_equal(S.toarray(), _add_at_apply(rows, sign, np.eye(3), 3))
 
 
 class TestSrht:
@@ -271,7 +341,7 @@ class TestTensorPairProperties:
 class TestTensorStructure:
     def test_tensorsketch_one_nonzero_per_column(self):
         spec = TensorSketchSpec(TensorFamily.TENSOR_SKETCH, 4, 5, 31)
-        h1, h2, s1, s2 = _tensor_internals(spec)
+        h1, h2, s1, s2, _, _ = _tensor_internals(spec)
         Z = materialize(spec)
         for i in range(4):
             for j in range(4):

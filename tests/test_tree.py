@@ -590,6 +590,26 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="repeated spec draw index"):
             TensorTree.load(path)
 
+    def test_draw_index_past_64_bits_rejected(self, tmp_path):
+        # the path of an update after index 2**64 - 1 would take 2**64 and 2**64 + 1,
+        # which no snapshot can store
+        tree = TensorTree(random_factors(2), TreeConfig(m=3, adaptive=True, seed=5))
+        path = tmp_path / "tree.kttr"
+        tree.save(path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = struct.pack("<Q", 2**64 - 1)
+        path.write_bytes(bytes(raw))
+        tree = TensorTree.load(path)
+        before = tree_state(tree)
+        with pytest.raises(ValueError, match="64 bits"):
+            tree.update_adaptive(0, np.ones_like(tree.factors[0]))
+        assert_same_state(before, tree_state(tree))
+        tree.save(path)
+        loaded = TensorTree.load(path)
+        assert loaded.draws == tree.draws == [0, 1, 2**64 - 1]
+        for la, lb in zip(loaded.levels, tree.levels, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(la, lb, strict=True))
+
     def test_next_draw_after_load_is_fresh(self, tmp_path):
         rng = np.random.default_rng(29)
         tree = TensorTree(random_factors(4, rng=rng), TreeConfig(m=4, adaptive=True, seed=29))
