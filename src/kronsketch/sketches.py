@@ -6,9 +6,10 @@ Base families map R^n -> R^m and are applied to tall factor matrices:
   1/sqrt(s) per coordinate, on a uniform s-subset of the output rows, drawn
   for all coordinates at once by a vectorized Floyd's algorithm.
 * CountSketch: OSNAP with s = 1, one signed nonzero per coordinate placed
-  by a hash. Both hashing families keep (n, s) hash and sign arrays and,
-  built once from them, the sketch itself as a sparse m x n CSC matrix, so
-  their apply is one sparse product: one pass over the nonzeros.
+  by a hash. Both hashing families keep only the sketch itself, a sparse
+  m x n CSC matrix whose column j holds s entries, so their apply is one
+  sparse product (one pass over the nonzeros), and the hash rows and signed
+  values of column j are slice j of its (indices, data) read as (n, s).
 * SRHT: sign flip, orthonormal Walsh-Hadamard transform, row sampling
   without replacement, scaled by sqrt(padded/m). Inputs are zero-padded to
   the next power of two >= max(n, m).
@@ -17,15 +18,20 @@ Tensor families map R^(side^2) -> R^m_out but are only ever evaluated on
 Kronecker columns u (x) v, which they consume as the pair (u, v) without
 forming the long vector:
 
-* TensorSketch: count-sketch each side with its own (hash, sign) pair, in
-  the same (side, 1) layout, sparse matrix and apply as a CountSketch
-  leaf, and cyclically convolve the two images (a product of their rffts).
+* TensorSketch: count-sketch each side with its own (hash, sign) pair, kept
+  as the same sparse matrix, with the same apply, as a CountSketch leaf,
+  and cyclically convolve the two images (a product of their rffts).
+  On one-hot columns the convolution is exact: e_a and e_b go to the single
+  row (h1[a] + h2[b]) mod m with sign s1[a] * s2[b], so CountSketch columns
+  under TensorSketch nodes stay one-hot all the way up (Pham-Pagh, KDD
+  2013). ``countsketch_columns`` and ``tensorsketch_cols`` carry such
+  columns as (row, sign) arrays, in O(1) per column at any m.
 * TensorSRHT: per output row r, the product of one coordinate of H D1 u and
   one of H D2 v (H the unnormalized +-1 Hadamard matrix on the padded
   side), scaled by 1/sqrt(m_out).
 
-Every spec is an immutable value; the hash/sign/sampling internals, and the
-sparse matrices built from them, are a pure function of (spec fields, seed),
+Every spec is an immutable value; the sparse hashing matrices and the
+sign/sampling internals are a pure function of (spec fields, seed),
 so two materializations of the same spec are bit-identical. They are drawn
 on a spec's first use and kept, read-only, on the spec itself, so they are
 freed with it: a tree that replaces a spec drops its internals too. Two
@@ -164,7 +170,8 @@ def _distinct_rows(rng: np.random.Generator, n: int, m: int, s: int) -> np.ndarr
 
 @_kept_on_spec
 def _base_internals(spec: BaseSketchSpec):
-    """Hash/sign/sampling arrays for a base spec, derived from its seed."""
+    """Sign/sampling arrays for an SRHT spec, or ``(S,)``, the sparse sketch of a
+    hashing spec, derived from its seed."""
     rng = np.random.default_rng(spec.seed)
     n, m = spec.input_dim, spec.output_dim
     if spec.family is BaseFamily.SRHT:
@@ -172,13 +179,13 @@ def _base_internals(spec: BaseSketchSpec):
         dsign = _rademacher(rng, padded)
         return padded, dsign, rng.choice(padded, size=m, replace=False)
     rows = _distinct_rows(rng, n, m, spec.sparsity or 1)  # CountSketch: s = 1
-    sign = _rademacher(rng, rows.shape)
-    return rows, sign, _hash_matrix(rows, sign, m)
+    return (_hash_matrix(rows, _rademacher(rng, rows.shape), m),)
 
 
 @_kept_on_spec
 def _tensor_internals(spec: TensorSketchSpec):
-    """Hash/sign/sampling arrays for a tensor spec, derived from its seed."""
+    """Sign/sampling arrays for a TensorSRHT spec, or ``(S1, S2)``, the sparse
+    side sketches of a TensorSketch spec, derived from its seed."""
     rng = np.random.default_rng(spec.seed)
     side, m_out = spec.side_dim, spec.output_dim
     if spec.family is TensorFamily.TENSOR_SKETCH:
@@ -186,8 +193,7 @@ def _tensor_internals(spec: TensorSketchSpec):
         h2 = rng.integers(0, m_out, size=(side, 1))
         s1 = _rademacher(rng, (side, 1))
         s2 = _rademacher(rng, (side, 1))
-        S1, S2 = _hash_matrix(h1, s1, m_out), _hash_matrix(h2, s2, m_out)
-        return h1, h2, s1, s2, S1, S2
+        return _hash_matrix(h1, s1, m_out), _hash_matrix(h2, s2, m_out)
     # TensorSRHT
     padded = _next_pow2(side)
     d1 = _rademacher(rng, padded)
@@ -201,13 +207,20 @@ def _hash_matrix(rows, sign, m) -> sparse.csc_array:
     """The m x n hashing sketch: column j holds sign[j, k] / sqrt(s) at row rows[j, k].
 
     ``rows`` and ``sign`` are (n, s). Every column holds s entries, so the
-    column pointers are a plain arange and nothing is sorted.
+    column pointers are a plain arange and nothing is sorted: ``indices`` and
+    ``data`` read as (n, s) give each column's rows and values.
     """
     n, s = rows.shape
     return sparse.csc_array(
         (sign.ravel() / math.sqrt(s), rows.ravel(), np.arange(0, n * s + 1, s)),
         shape=(m, n),
     )
+
+
+def _hash_slots(S: sparse.csc_array):
+    """Rows and values of a hashing sketch's columns, each as an (n, s) array."""
+    n = S.shape[1]
+    return S.indices.reshape(n, -1), S.data.reshape(n, -1)
 
 
 def _hash_apply(S: sparse.csc_array, A) -> np.ndarray:
@@ -242,7 +255,7 @@ def apply_base(spec: BaseSketchSpec, A) -> np.ndarray:
             f"A has {A.shape[0]} rows, spec expects {spec.input_dim}"
         )
     if spec.family is not BaseFamily.SRHT:
-        return _hash_apply(_base_internals(spec)[2], A)
+        return _hash_apply(_base_internals(spec)[0], A)
     padded, dsign, rows = _base_internals(spec)
     # sqrt(padded/m) rescale times the 1/sqrt(padded) Hadamard normalization
     return _srht_rows(padded, dsign, rows, A) / math.sqrt(rows.size)
@@ -255,24 +268,53 @@ def base_columns(spec: BaseSketchSpec, indices) -> np.ndarray:
     allowed. CountSketch/OSNAP columns cost O(nonzeros), SRHT columns read
     one Hadamard entry per sampled row.
     """
+    idx = _column_indices(spec, indices)
+    m = spec.output_dim
+    t = idx.size
+    if spec.family is not BaseFamily.SRHT:
+        rows, vals = _hash_slots(_base_internals(spec)[0])
+        cols = np.zeros((m, t))
+        cols[rows[idx].ravel(), np.repeat(np.arange(t), rows.shape[1])] = vals[idx].ravel()
+        return cols
+    padded, dsign, rows = _base_internals(spec)
+    signs = _bit_parity_sign(rows[:, None] & idx[None, :])
+    return signs * (dsign[idx][None, :] / math.sqrt(m))
+
+
+def _column_indices(spec: BaseSketchSpec, indices) -> np.ndarray:
+    """``indices`` as a 1-D int64 array of columns of the spec's sketch."""
     idx = np.ascontiguousarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise DimensionError("indices must be 1-D")
     if idx.size and (idx.min() < 0 or idx.max() >= spec.input_dim):
         raise IndexError(f"column index out of range [0, {spec.input_dim})")
-    m = spec.output_dim
-    t = idx.size
-    if spec.family is not BaseFamily.SRHT:
-        rows, sign, _ = _base_internals(spec)
-        s = rows.shape[1]
-        cols = np.zeros((m, t))
-        cols[rows[idx].ravel(), np.repeat(np.arange(t), s)] = (
-            sign[idx].ravel() / math.sqrt(s)
-        )
-        return cols
-    padded, dsign, rows = _base_internals(spec)
-    signs = _bit_parity_sign(rows[:, None] & idx[None, :])
-    return signs * (dsign[idx][None, :] / math.sqrt(m))
+    return idx
+
+
+def countsketch_columns(spec: BaseSketchSpec, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Selected CountSketch columns as (rows, signs): column t is
+    ``signs[t] * e_{rows[t]}``, the one nonzero of ``base_columns(spec, indices)[:, t]``.
+    """
+    if spec.family is not BaseFamily.COUNT_SKETCH:
+        raise ConfigurationError(f"{spec.family.value} columns are not one-hot")
+    idx = _column_indices(spec, indices)
+    S = _base_internals(spec)[0]
+    return S.indices[idx], S.data[idx]
+
+
+def tensorsketch_cols(spec: TensorSketchSpec, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_tensor_cols`` on one-hot columns given as (rows, signs) pairs.
+
+    The node's cyclic convolution of signs_a * e_a and signs_b * e_b is the
+    single entry signs_a * signs_b * s1[a] * s2[b] at row (h1[a] + h2[b]) mod m,
+    so the result is one-hot again and computed exactly, with no transform.
+    """
+    if spec.family is not TensorFamily.TENSOR_SKETCH:
+        raise ConfigurationError(f"{spec.family.value} does not keep columns one-hot")
+    (a, sign_a), (b, sign_b) = left, right
+    S1, S2 = _tensor_internals(spec)
+    rows = (S1.indices[a] + S2.indices[b]) % spec.output_dim
+    return rows, sign_a * sign_b * S1.data[a] * S2.data[b]
 
 
 def _bit_parity_sign(x: np.ndarray) -> np.ndarray:
@@ -300,8 +342,7 @@ def _tensor_side(spec: TensorSketchSpec, U: np.ndarray, k: int) -> np.ndarray:
     sketches to the finished product of its two transformed sides.
     """
     if spec.family is TensorFamily.TENSOR_SKETCH:
-        S = _tensor_internals(spec)[4 + k]
-        return np.fft.rfft(_hash_apply(S, U), axis=0)
+        return np.fft.rfft(_hash_apply(_tensor_internals(spec)[k], U), axis=0)
     padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
     dsign, rows = (d1, i_rows) if k == 0 else (d2, j_rows)
     return _srht_rows(padded, dsign, rows, U)
@@ -364,11 +405,9 @@ def materialize(spec) -> np.ndarray:
         if n * m > MAX_ELEMENTS:
             raise DimensionError("materialized sketch exceeds element limit")
         if spec.family is not BaseFamily.SRHT:
-            rows, sign, _ = _base_internals(spec)
-            s = rows.shape[1]
+            rows, vals = _hash_slots(_base_internals(spec)[0])
             Z = np.zeros((m, n))
-            cols = np.repeat(np.arange(n), s)
-            Z[rows.ravel(), cols] = sign.ravel() / math.sqrt(s)
+            Z[rows.ravel(), np.repeat(np.arange(n), rows.shape[1])] = vals.ravel()
             return Z
         padded, dsign, rows = _base_internals(spec)
         H = _hadamard_matrix(padded) / math.sqrt(padded)
@@ -379,7 +418,7 @@ def materialize(spec) -> np.ndarray:
         if m_out * side * side > MAX_ELEMENTS:
             raise DimensionError("materialized sketch exceeds element limit")
         if spec.family is TensorFamily.TENSOR_SKETCH:
-            h1, h2, s1, s2, _, _ = _tensor_internals(spec)
+            (h1, s1), (h2, s2) = map(_hash_slots, _tensor_internals(spec))
             Z = np.zeros((m_out, side * side))
             i = np.arange(side)
             rows = (h1 + h2.T) % m_out

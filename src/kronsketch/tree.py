@@ -53,7 +53,9 @@ from .sketches import (
     apply_tensor_cols,
     apply_tensor_pair,
     base_columns,
+    countsketch_columns,
     materialize,
+    tensorsketch_cols,
 )
 
 SNAPSHOT_MAGIC = b"KTTR5"
@@ -276,8 +278,16 @@ class TensorTree:
 
         Each nonzero index decomposes into per-factor digits (first factor
         most significant); the corresponding base-sketch columns are pushed
-        up the tree as matched column pairs, all nonzeros at once, and the
-        root columns are summed with their weights.
+        up the tree as matched column pairs and the root columns are summed
+        with their weights.
+
+        CountSketch leaves under TensorSketch nodes (or a lone CountSketch
+        leaf) keep every column one-hot, so each nonzero is carried as one
+        (row, sign) pair and the root is a single signed bincount: O(q nnz)
+        time and memory at any m. Every other family pair folds dense m x
+        chunk column blocks, ``max(1, 2**16 // m)`` nonzeros at a time (about
+        512 KB per block), and adds each chunk's weighted root columns in
+        chunk order, so memory stays O(m chunk) at any nnz.
         """
         if isinstance(b, SparseVector):
             sv = b
@@ -289,18 +299,31 @@ class TensorTree:
             raise DimensionError(
                 f"vector length {sv.length} != product of factor rows {n_total}"
             )
-        if sv.nnz == 0:
-            return np.zeros(self.config.m)
+        cfg = self.config
         digits = self._decompose(sv.indices, n_dims)
-        mats = [
-            base_columns(self.leaf_specs[t], digits[t]) for t in range(self.q)
-        ]
-        for mats in _fold(mats, self._pair_cols):
-            pass
-        return mats[0] @ sv.values
+        if cfg.c_family is BaseFamily.COUNT_SKETCH and (
+            cfg.t_family is TensorFamily.TENSOR_SKETCH or self.q == 1
+        ):
+            cols = [countsketch_columns(s, d) for s, d in zip(self.leaf_specs, digits)]
+            for cols in _fold(cols, self._pair_one_hot):
+                pass
+            rows, signs = cols[0]
+            return np.bincount(rows, weights=signs * sv.values, minlength=cfg.m)
+        out = np.zeros(cfg.m)
+        chunk = max(1, 2**16 // cfg.m)
+        for start in range(0, sv.nnz, chunk):
+            part = slice(start, start + chunk)
+            mats = [base_columns(s, d[part]) for s, d in zip(self.leaf_specs, digits)]
+            for mats in _fold(mats, self._pair_cols):
+                pass
+            out += mats[0] @ sv.values[part]
+        return out
 
     def _pair_cols(self, key, left, right) -> np.ndarray:
         return apply_tensor_cols(self.node_specs[key], left, right)
+
+    def _pair_one_hot(self, key, left, right):
+        return tensorsketch_cols(self.node_specs[key], left, right)
 
     @staticmethod
     def _decompose(indices: np.ndarray, dims) -> list[np.ndarray]:

@@ -19,6 +19,7 @@ from kronsketch.sketches import (
     _base_internals,
     _hash_apply,
     _hash_matrix,
+    _hash_slots,
     _tensor_internals,
     _tensor_side,
     apply_base,
@@ -26,7 +27,9 @@ from kronsketch.sketches import (
     apply_tensor_pair,
     base_columns,
     choose_m,
+    countsketch_columns,
     materialize,
+    tensorsketch_cols,
 )
 
 RNG = np.random.default_rng(77)
@@ -110,14 +113,14 @@ class TestOsnap:
 
     @pytest.mark.parametrize("m, s", [(1, 1), (5, 5), (9, 4), (1024, 8)])
     def test_rows_distinct_and_in_range(self, m, s):
-        rows, _, _ = _base_internals(BaseSketchSpec(BaseFamily.OSNAP, 3000, m, s, m + s))
+        rows, _ = _hash_slots(*_base_internals(BaseSketchSpec(BaseFamily.OSNAP, 3000, m, s, m + s)))
         assert rows.shape == (3000, s)
         assert rows.min() >= 0 and rows.max() < m
         assert np.all(np.diff(np.sort(rows, axis=1), axis=1) > 0)
 
     def test_subsets_uniform(self):
         n = 20000
-        rows, _, _ = _base_internals(BaseSketchSpec(BaseFamily.OSNAP, n, 5, 2, 31))
+        rows, _ = _hash_slots(*_base_internals(BaseSketchSpec(BaseFamily.OSNAP, n, 5, 2, 31)))
         low, high = np.sort(rows, axis=1).T
         _, counts = np.unique(low * 5 + high, return_counts=True)
         assert counts.size == 10  # every 2-subset of range(5) occurs
@@ -125,7 +128,7 @@ class TestOsnap:
 
     def test_countsketch_is_one_row_draw(self):
         # s = 1 keeps the CountSketch draw: one integers(0, m) per row, then signs
-        rows, sign, _ = _base_internals(BaseSketchSpec(BaseFamily.COUNT_SKETCH, 40, 7, 0, 9))
+        rows, sign = _hash_slots(*_base_internals(BaseSketchSpec(BaseFamily.COUNT_SKETCH, 40, 7, 0, 9)))
         rng = np.random.default_rng(9)
         assert np.array_equal(rows, rng.integers(0, 7, size=(40, 1)))
         assert np.array_equal(sign, rng.integers(0, 2, size=(40, 1)) * 2.0 - 1.0)
@@ -147,8 +150,8 @@ class TestInternalsOwnership:
 
     def test_hashes_die_with_spec(self):
         spec = BaseSketchSpec(BaseFamily.OSNAP, 50, 9, 3, 6)
-        hashes = weakref.ref(_base_internals(spec)[0])
-        matrix = weakref.ref(_base_internals(spec)[2])
+        hashes = weakref.ref(_base_internals(spec)[0].indices)
+        matrix = weakref.ref(_base_internals(spec)[0])
         assert hashes() is not None and matrix() is not None
         del spec
         assert hashes() is None and matrix() is None
@@ -174,8 +177,9 @@ class TestInternalsOwnership:
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 30
-        for rows, sign, _ in results:
-            assert np.array_equal(rows, reference[0]) and np.array_equal(sign, reference[1])
+        for (S,) in results:
+            assert np.array_equal(S.indices, reference[0].indices)
+            assert np.array_equal(S.data, reference[0].data)
 
     def test_tensor_internals_die_with_spec(self):
         spec = TensorSketchSpec(TensorFamily.TENSOR_SRHT, 5, 7, 22)
@@ -214,7 +218,8 @@ class TestHashApply:
         s = min(s, m)
         family = BaseFamily.OSNAP if s else BaseFamily.COUNT_SKETCH
         spec = BaseSketchSpec(family, n, m, s, seed)
-        rows, sign, _ = _base_internals(spec)
+        rows, vals = _hash_slots(*_base_internals(spec))
+        sign = np.sign(vals)
         A = np.random.default_rng(seed).standard_normal((n, d))
         out, expected = apply_base(spec, A), _add_at_apply(rows, sign, A, m)
         assert out.shape == (m, d)
@@ -227,9 +232,8 @@ class TestHashApply:
     @settings(max_examples=100, deadline=None)
     def test_tensorsketch_sides_match_scatter(self, side, m, d, seed):
         spec = TensorSketchSpec(TensorFamily.TENSOR_SKETCH, side, m, seed)
-        h1, h2, s1, s2, _, _ = _tensor_internals(spec)
         U = np.random.default_rng(seed).standard_normal((side, d))
-        for k, (h, sign) in enumerate([(h1, s1), (h2, s2)]):
+        for k, (h, sign) in enumerate(map(_hash_slots, _tensor_internals(spec))):
             expected = np.fft.rfft(_add_at_apply(h, sign, U, m), axis=0)
             assert np.array_equal(_tensor_side(spec, U, k), expected)
 
@@ -241,6 +245,25 @@ class TestHashApply:
         assert np.array_equal(S.indptr, [0, 2, 4, 6])
         assert np.array_equal(S.indices, rows.ravel())
         assert np.array_equal(S.toarray(), _add_at_apply(rows, sign, np.eye(3), 3))
+
+
+class TestOneHotColumns:
+    def test_countsketch_columns_are_base_columns(self):
+        spec = BaseSketchSpec(BaseFamily.COUNT_SKETCH, 9, 4, 0, 5)
+        idx = np.array([3, 0, 8, 3])
+        rows, signs = countsketch_columns(spec, idx)
+        expected = np.zeros((4, idx.size))
+        expected[rows, np.arange(idx.size)] = signs
+        assert np.array_equal(base_columns(spec, idx), expected)
+
+    @pytest.mark.parametrize("spec", [BASE_SPECS[1], BASE_SPECS[2], TENSOR_SPECS[1]])
+    def test_other_families_rejected(self, spec):
+        with pytest.raises(ConfigurationError):
+            if isinstance(spec, BaseSketchSpec):
+                countsketch_columns(spec, [0])
+            else:
+                one = (np.zeros(1, dtype=np.int64), np.ones(1))
+                tensorsketch_cols(spec, one, one)
 
 
 class TestSrht:
@@ -341,7 +364,7 @@ class TestTensorPairProperties:
 class TestTensorStructure:
     def test_tensorsketch_one_nonzero_per_column(self):
         spec = TensorSketchSpec(TensorFamily.TENSOR_SKETCH, 4, 5, 31)
-        h1, h2, s1, s2, _, _ = _tensor_internals(spec)
+        (h1, s1), (h2, s2) = map(_hash_slots, _tensor_internals(spec))
         Z = materialize(spec)
         for i in range(4):
             for j in range(4):

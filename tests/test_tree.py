@@ -15,12 +15,13 @@ from kronsketch.sketches import (
     _base_internals,
     _tensor_internals,
     apply_base,
+    apply_tensor_cols,
     apply_tensor_pair,
     base_columns,
     choose_m,
     materialize,
 )
-from kronsketch.tree import _HEADER, SNAPSHOT_MAGIC, TensorTree, TreeConfig, _draw_seed
+from kronsketch.tree import _HEADER, SNAPSHOT_MAGIC, TensorTree, TreeConfig, _draw_seed, _fold
 
 RNG = np.random.default_rng(314)
 
@@ -370,9 +371,25 @@ class TestFailedUpdate:
         check_nodes_exact(tree)
 
 
+def folded_label(tree, sv):
+    """Reference label sketch: every nonzero's base columns folded up the tree at once."""
+    digits = tree._decompose(sv.indices, [f.shape[0] for f in tree.factors])
+    mats = [base_columns(spec, d) for spec, d in zip(tree.leaf_specs, digits)]
+    for mats in _fold(mats, lambda key, l, r: apply_tensor_cols(tree.node_specs[key], l, r)):
+        pass
+    return mats[0] @ sv.values
+
+
 class TestSketchVector:
+    """Label sketches of a CountSketch/TensorSketch tree, which collapse to one bincount."""
+
+    pair = FAMILY_PAIRS[0]
+
+    def config(self, m, seed):
+        return TreeConfig(*self.pair, m=m, seed=seed)
+
     def test_zero_vector(self):
-        tree = TensorTree(random_factors(3), TreeConfig(m=6, seed=15))
+        tree = TensorTree(random_factors(3), self.config(6, 15))
         n = int(np.prod([f.shape[0] for f in tree.factors]))
         out = tree.sketch_vector(SparseVector(n, [], []))
         assert np.array_equal(out, np.zeros(6))
@@ -380,7 +397,7 @@ class TestSketchVector:
     def test_kron_structured_vector_hits_root(self):
         rng = np.random.default_rng(16)
         factors = [rng.standard_normal((5, 2)) for _ in range(3)]
-        tree = TensorTree(factors, TreeConfig(m=10, seed=16))
+        tree = TensorTree(factors, self.config(10, 16))
         xs = [rng.standard_normal(2) for _ in range(3)]
         b = kron_chain([f @ x.reshape(-1, 1) for f, x in zip(factors, xs)]).ravel()
         x_full = kron_chain([x.reshape(-1, 1) for x in xs]).ravel()
@@ -392,17 +409,29 @@ class TestSketchVector:
     def test_matches_materialized_sketch(self, q):
         rng = np.random.default_rng(17 + q)
         factors = [rng.standard_normal((3, 2)) for _ in range(q)]
-        tree = TensorTree(factors, TreeConfig(m=7, seed=17 + q))
+        tree = TensorTree(factors, self.config(7, 17 + q))
         n = 3**q
         idx = rng.choice(n, size=min(n, 5), replace=False)
         sv = SparseVector(n, idx, rng.standard_normal(idx.size))
         expected = tree.materialize_sketch() @ sv.to_dense()
         assert np.allclose(tree.sketch_vector(sv), expected, atol=1e-10)
 
+    def test_label_across_chunks(self):
+        # m = 2048 folds 32 nonzeros per chunk: three full chunks and one of 4
+        rng = np.random.default_rng(25)
+        factors = [rng.standard_normal((6, 1)) for _ in range(3)]
+        tree = TensorTree(factors, self.config(2048, 25))
+        idx = rng.integers(0, 6**3, size=100)
+        idx[50:60] = idx[:10]  # repeats, in other chunks than their first use
+        sv = SparseVector(6**3, idx, rng.standard_normal(100))
+        expected = tree.materialize_sketch() @ sv.to_dense()
+        scale = np.abs(sv.values).sum()
+        assert np.allclose(tree.sketch_vector(sv), expected, rtol=0, atol=1e-14 * scale)
+
     def test_linearity(self):
         rng = np.random.default_rng(18)
         factors = [rng.standard_normal((4, 2)) for _ in range(2)]
-        tree = TensorTree(factors, TreeConfig(m=8, seed=18))
+        tree = TensorTree(factors, self.config(8, 18))
         b1 = rng.standard_normal(16)
         b2 = rng.standard_normal(16)
         lhs = tree.sketch_vector(2.5 * b1 + b2)
@@ -410,9 +439,57 @@ class TestSketchVector:
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_index_out_of_range(self):
-        tree = TensorTree([np.eye(2), np.eye(2)], TreeConfig(m=4, seed=19))
+        tree = TensorTree([np.eye(2), np.eye(2)], self.config(4, 19))
         with pytest.raises(IndexError):
             tree.sketch_vector(SparseVector(4, [4], [1.0]))
+
+
+class TestSketchVectorFolded(TestSketchVector):
+    """The same checks on the family pairs whose labels fold dense column chunks."""
+
+    @pytest.fixture(
+        autouse=True,
+        params=FAMILY_PAIRS[1:] + [(BaseFamily.OSNAP, TensorFamily.TENSOR_SKETCH)],
+        ids=lambda pair: "-".join(f.value for f in pair),
+    )
+    def folded_pair(self, request):
+        self.pair = request.param
+
+
+class TestLabelPaths:
+    @given(st.integers(1, 6), st.integers(1, 16), st.integers(0, 2**63 - 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_hot_collapse_matches_fold(self, q, m, seed, data):
+        rng = np.random.default_rng(seed)
+        factors = [np.ones((int(rng.integers(1, 5)), 1)) for _ in range(q)]
+        tree = TensorTree(factors, TreeConfig(m=m, seed=seed))
+        n = int(np.prod([f.shape[0] for f in factors]))
+        nnz = data.draw(st.integers(0, 40))
+        idx = data.draw(st.lists(st.integers(0, n - 1), min_size=nnz, max_size=nnz))
+        sv = SparseVector(n, idx, rng.standard_normal(nnz))
+        got = tree.sketch_vector(sv)
+        # the collapse is exact per column; the fold's FFT round trip adds
+        # rounding at every level, so the bound grows with the depth
+        bound = 1e-15 * max(1, tree.depth) * np.abs(sv.values).sum()
+        assert np.all(np.abs(got - folded_label(tree, sv)) <= bound)
+        if nnz:  # a single nonzero lands, exactly, on one row
+            one = tree.sketch_vector(SparseVector(n, idx[:1], sv.values[:1]))
+            assert sorted(np.abs(one)) == [0.0] * (m - 1) + [abs(sv.values[0])]
+
+    @pytest.mark.parametrize("pair", FAMILY_PAIRS[:2])
+    def test_label_memory_independent_of_nnz(self, pair):
+        # m x nnz leaf blocks alone would take 2 x 32 MB here
+        rng = np.random.default_rng(26)
+        factors = [rng.standard_normal((4096, 1)) for _ in range(2)]
+        tree = TensorTree(factors, TreeConfig(*pair, m=1024, seed=26))
+        sv = SparseVector(4096**2, rng.integers(0, 4096**2, size=4096), rng.standard_normal(4096))
+        tracemalloc.start()
+        try:
+            tree.sketch_vector(sv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestMaterializeSketch:
