@@ -115,20 +115,106 @@ def kron_chain(factors) -> np.ndarray:
     return out
 
 
-def _hadamard_axis0(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterflies along axis 0, in place.
+def _bit_parity_sign(x: np.ndarray) -> np.ndarray:
+    """(-1)**popcount(x) for a nonnegative int64 array."""
+    x = x.astype(np.uint64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> np.uint64(shift))
+    return 1.0 - 2.0 * (x & np.uint64(1)).astype(np.float64)
 
-    ``a`` must be C-contiguous 2-D with a power-of-two number of rows.
+
+def _hadamard_matrix(p: int) -> np.ndarray:
+    """Explicit unnormalized +-1 Hadamard matrix, H[r, c] = (-1)^popcount(r&c)."""
+    if p * p > MAX_ELEMENTS:
+        raise DimensionError(f"Hadamard matrix of side {p} exceeds element limit")
+    idx = np.arange(p, dtype=np.int64)
+    return _bit_parity_sign(idx[:, None] & idx[None, :])
+
+
+# H_32; its top-left r x r block is H_r for every power of two r <= 32.
+_H32 = _hadamard_matrix(32)
+_H32.flags.writeable = False
+
+# OpenBLAS's dgemm computes a column bit for bit alike wherever it sits in a
+# run of whole 8-column tiles, but not in a narrower tail tile or gemv.
+_TILE = 8
+
+
+def _radix32(p: int) -> list[int]:
+    """Digit sizes of p = 2**k in base 32, most significant first; the
+    remainder digit 2**(k % 5), if any, leads."""
+    k = p.bit_length() - 1
+    return [1 << k % 5] * (k % 5 > 0) + [32] * (k // 5)
+
+
+class HadamardWork:
+    """Two flat scratch arrays for unnormalized Walsh-Hadamard transforms.
+
+    ``block(p, n, c)`` hands out a p x c input block whose rows n.. are zero;
+    the caller writes X[:n] into it, and ``transform()`` returns H_p X.
+    H_p = H_s0 (x) H_s1 (x) ... over the base-32 digits of p (Sylvester;
+    Van Loan 2000), so the transform is one GEMM by a block of ``_H32`` per
+    digit, ping-ponging between the two arrays. A digit's GEMM is
+    N = post * c columns wide, with post the product of the later digits;
+    where N is not a multiple of ``_TILE`` (in practice only for the last
+    digit, whose post is 1), the columns are first zero-padded to one, so a
+    column's result never depends on how many columns come with it.
+
+    The arrays grow to the largest block asked for and are reused by later
+    blocks, so a caller that transforms many blocks (a label's chunks) keeps
+    one work object across them and drops it when done. A work object is
+    state: give each thread its own.
     """
-    n = a.shape[0]
-    h = 1
-    while h < n:
-        b = a.reshape(n // (2 * h), 2, h, -1)
-        top = b[:, 0].copy()
-        b[:, 0] += b[:, 1]
-        np.subtract(top, b[:, 1], out=b[:, 1])
-        h *= 2
-    return a
+
+    def __init__(self):
+        self._flat = [np.empty(0), np.empty(0)]
+        self._shape = 0, 0
+
+    def _take(self, k: int, rows: int, cols: int) -> np.ndarray:
+        if self._flat[k].size < rows * cols:
+            self._flat[k] = np.empty(rows * cols)
+        return self._flat[k][: rows * cols].reshape(rows, cols)
+
+    def block(self, p: int, n: int, c: int) -> np.ndarray:
+        """Input block of p rows (a power of two) and c columns, valid until
+        the next call, with rows n.. zero."""
+        x = self._take(0, p, c)
+        x[n:] = 0.0
+        self._shape = p, c
+        return x
+
+    def transform(self) -> np.ndarray:
+        """H_p X for the block just filled, as a (p, c) view of a work array
+        (of the block itself when p = 1); the block is overwritten."""
+        p, c = self._shape
+        k, x, wide = 0, self._take(0, p, c), c
+        pre = 1
+        for s in _radix32(p):
+            post = p // (pre * s)
+            if post * wide % _TILE:
+                wide = -(-c // _TILE) * _TILE
+                padded = self._take(1 - k, p, wide)
+                padded[:, :c] = x
+                padded[:, c:] = 0.0
+                k, x = 1 - k, padded
+            k, y = 1 - k, self._take(1 - k, p, wide)
+            shape = pre, s, post * wide
+            np.matmul(_H32[:s, :s], x.reshape(shape), out=y.reshape(shape))
+            x = y
+            pre *= s
+        return x[:, :c]
+
+
+def _hadamard_axis0(a: np.ndarray) -> np.ndarray:
+    """H_p a for the unnormalized +-1 Hadamard matrix H_p, p = a.shape[0] a
+    power of two, as a (p, c) view of a new array; ``a`` is not modified.
+
+    Any column count c is accepted (see ``HadamardWork``).
+    """
+    p, c = a.shape
+    work = HadamardWork()
+    work.block(p, p, c)[:] = a
+    return work.transform()
 
 
 class LstsqResult(NamedTuple):

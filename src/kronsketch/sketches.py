@@ -12,7 +12,9 @@ Base families map R^n -> R^m and are applied to tall factor matrices:
   values of column j are slice j of its (indices, data) read as (n, s).
 * SRHT: sign flip, orthonormal Walsh-Hadamard transform, row sampling
   without replacement, scaled by sqrt(padded/m). Inputs are zero-padded to
-  the next power of two >= max(n, m).
+  the next power of two >= max(n, m). The transform is one small GEMM by a
+  +-1 Sylvester block per base-32 digit of the padded size
+  (``linalg.HadamardWork``), not log2(padded) butterfly passes.
 
 Tensor families map R^(side^2) -> R^m_out but are only ever evaluated on
 Kronecker columns u (x) v, which they consume as the pair (u, v) without
@@ -28,7 +30,9 @@ forming the long vector:
   columns as (row, sign) arrays, in O(1) per column at any m.
 * TensorSRHT: per output row r, the product of one coordinate of H D1 u and
   one of H D2 v (H the unnormalized +-1 Hadamard matrix on the padded
-  side), scaled by 1/sqrt(m_out).
+  side, applied by the same GEMMs), scaled by 1/sqrt(m_out). A column's
+  transform is bit for bit the same whatever columns come with it, so the
+  matched-column combine is the pair combine's diagonal exactly.
 
 Every spec is an immutable value; the sparse hashing matrices and the
 sign/sampling internals are a pure function of (spec fields, seed),
@@ -52,7 +56,9 @@ from scipy import sparse
 from .linalg import (
     MAX_ELEMENTS,
     DimensionError,
-    _hadamard_axis0,
+    HadamardWork,
+    _bit_parity_sign,
+    _hadamard_matrix,
     as_matrix,
 )
 
@@ -234,20 +240,26 @@ def _hash_apply(S: sparse.csc_array, A) -> np.ndarray:
     return S @ A
 
 
-def _srht_rows(padded, dsign, rows, A) -> np.ndarray:
-    """Sampled rows of H D A: zero-pad, sign-flip, unnormalized Hadamard."""
-    n = A.shape[0]
-    work = np.zeros((padded, A.shape[1]))
-    work[:n] = dsign[:n, None] * A
-    _hadamard_axis0(work)
-    return work[rows]
+def _srht_rows(padded, dsign, rows, A, work: HadamardWork | None = None) -> np.ndarray:
+    """Sampled rows of H D A: zero-pad, sign-flip, unnormalized Hadamard.
+
+    The sign-flipped A is written straight into a zero-padded block of
+    ``work`` (a fresh one if None), whose arrays the transform's GEMMs then
+    ping-pong through.
+    """
+    n, c = A.shape
+    if work is None:
+        work = HadamardWork()
+    np.multiply(dsign[:n, None], A, out=work.block(padded, n, c)[:n])
+    return work.transform()[rows]
 
 
 def apply_base(spec: BaseSketchSpec, A) -> np.ndarray:
     """Product of the materialized base sketch with A, without forming it.
 
     CountSketch/OSNAP hash rows of A directly; SRHT zero-pads, sign-flips,
-    runs a fast Hadamard transform per column, and samples rows.
+    applies the Hadamard transform as one small GEMM per base-32 digit of
+    the padded size, and samples rows.
     """
     A = as_matrix(A)
     if A.shape[0] != spec.input_dim:
@@ -317,35 +329,22 @@ def tensorsketch_cols(spec: TensorSketchSpec, left, right) -> tuple[np.ndarray, 
     return rows, sign_a * sign_b * S1.data[a] * S2.data[b]
 
 
-def _bit_parity_sign(x: np.ndarray) -> np.ndarray:
-    """(-1)**popcount(x) for a nonnegative int64 array."""
-    x = x.astype(np.uint64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        x = x ^ (x >> np.uint64(shift))
-    return 1.0 - 2.0 * (x & np.uint64(1)).astype(np.float64)
-
-
-def _hadamard_matrix(p: int) -> np.ndarray:
-    """Explicit unnormalized +-1 Hadamard matrix, H[r, c] = (-1)^popcount(r&c)."""
-    if p * p > MAX_ELEMENTS:
-        raise DimensionError(f"Hadamard matrix of side {p} exceeds element limit")
-    idx = np.arange(p, dtype=np.int64)
-    return _bit_parity_sign(idx[:, None] & idx[None, :])
-
-
-def _tensor_side(spec: TensorSketchSpec, U: np.ndarray, k: int) -> np.ndarray:
+def _tensor_side(
+    spec: TensorSketchSpec, U: np.ndarray, k: int, work: HadamardWork | None = None
+) -> np.ndarray:
     """Transform of input k (0 left, 1 right) by its side of a tensor spec.
 
     TensorSketch count-sketches with side k's sparse hashing matrix and
     takes the rfft; TensorSRHT sign-flips with side k's diagonal, runs the
-    Hadamard transform, and samples side k's rows. A Kronecker column then
-    sketches to the finished product of its two transformed sides.
+    Hadamard transform (in ``work``, see ``_srht_rows``), and samples side
+    k's rows. A Kronecker column then sketches to the finished product of
+    its two transformed sides.
     """
     if spec.family is TensorFamily.TENSOR_SKETCH:
         return np.fft.rfft(_hash_apply(_tensor_internals(spec)[k], U), axis=0)
     padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
     dsign, rows = (d1, i_rows) if k == 0 else (d2, j_rows)
-    return _srht_rows(padded, dsign, rows, U)
+    return _srht_rows(padded, dsign, rows, U, work)
 
 
 def _tensor_finish(spec: TensorSketchSpec, prod: np.ndarray) -> np.ndarray:
@@ -377,11 +376,16 @@ def apply_tensor_pair(spec: TensorSketchSpec, J1, J2) -> np.ndarray:
     return _tensor_finish(spec, prod).reshape(m_out, c1 * c2)
 
 
-def apply_tensor_cols(spec: TensorSketchSpec, U1, U2) -> np.ndarray:
+def apply_tensor_cols(
+    spec: TensorSketchSpec, U1, U2, *, work: HadamardWork | None = None
+) -> np.ndarray:
     """Sketch matched column pairs: output[:, t] sketches U1[:, t] (x) U2[:, t].
 
     The columnwise companion of apply_tensor_pair, used to push many
-    single Kronecker vectors through a node in one vectorized call.
+    single Kronecker vectors through a node in one vectorized call. A caller
+    that makes many such calls, like a label's chunk loop, can pass one
+    ``work`` to all of them, so TensorSRHT's transform buffers are allocated
+    once instead of per call; the result does not depend on it.
     """
     U1 = as_matrix(U1)
     U2 = as_matrix(U2)
@@ -390,7 +394,8 @@ def apply_tensor_cols(spec: TensorSketchSpec, U1, U2) -> np.ndarray:
         raise DimensionError(
             f"need matching {side}-row inputs, got {U1.shape} and {U2.shape}"
         )
-    return _tensor_finish(spec, _tensor_side(spec, U1, 0) * _tensor_side(spec, U2, 1))
+    prod = _tensor_side(spec, U1, 0, work) * _tensor_side(spec, U2, 1, work)
+    return _tensor_finish(spec, prod)
 
 
 def materialize(spec) -> np.ndarray:

@@ -36,6 +36,7 @@ import numpy as np
 from .linalg import (
     MAX_ELEMENTS,
     DimensionError,
+    HadamardWork,
     SparseVector,
     as_matrix,
     as_vector,
@@ -287,7 +288,9 @@ class TensorTree:
         time and memory at any m. Every other family pair folds dense m x
         chunk column blocks, ``max(1, 2**16 // m)`` nonzeros at a time (about
         512 KB per block), and adds each chunk's weighted root columns in
-        chunk order, so memory stays O(m chunk) at any nnz.
+        chunk order, so memory stays O(m chunk) at any nnz. One
+        ``HadamardWork`` serves every TensorSRHT transform of the call, so its
+        buffers are allocated once, not per chunk and node, and freed at return.
         """
         if isinstance(b, SparseVector):
             sv = b
@@ -311,16 +314,18 @@ class TensorTree:
             return np.bincount(rows, weights=signs * sv.values, minlength=cfg.m)
         out = np.zeros(cfg.m)
         chunk = max(1, 2**16 // cfg.m)
+        work = HadamardWork()
+
+        def pair(key, left, right):
+            return apply_tensor_cols(self.node_specs[key], left, right, work=work)
+
         for start in range(0, sv.nnz, chunk):
             part = slice(start, start + chunk)
             mats = [base_columns(s, d[part]) for s, d in zip(self.leaf_specs, digits)]
-            for mats in _fold(mats, self._pair_cols):
+            for mats in _fold(mats, pair):
                 pass
             out += mats[0] @ sv.values[part]
         return out
-
-    def _pair_cols(self, key, left, right) -> np.ndarray:
-        return apply_tensor_cols(self.node_specs[key], left, right)
 
     def _pair_one_hot(self, key, left, right):
         return tensorsketch_cols(self.node_specs[key], left, right)

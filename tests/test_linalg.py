@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from kronsketch import sketches
 from kronsketch.linalg import (
     DimensionError,
+    HadamardWork,
     RegularizationError,
     SparseVector,
     _hadamard_axis0,
@@ -120,7 +121,7 @@ def _sylvester_hadamard(n):
 
 
 def fwht(v):
-    """Orthonormal Walsh-Hadamard transform through the SRHT butterflies."""
+    """Orthonormal Walsh-Hadamard transform through the SRHT's radix-32 GEMMs."""
     x = np.array(v, dtype=np.float64).reshape(-1, 1)
     return _hadamard_axis0(x).ravel() / math.sqrt(x.shape[0])
 
@@ -133,11 +134,36 @@ class TestFwht:
     def test_zero_vector(self):
         assert np.array_equal(fwht(np.zeros(8)), np.zeros(8))
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    # 32, 64, 128 and 2048 take one, two (remainder digit first) and three GEMMs
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128, 2048])
     def test_matches_explicit_hadamard(self, n):
         H = _sylvester_hadamard(n) / math.sqrt(n)
         v = RNG.standard_normal(n)
         assert np.allclose(fwht(v), H @ v, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 32, 64, 1024])
+    def test_column_independent_of_width(self, p):
+        # every GEMM runs whole BLAS tiles, so a column's transform is the same
+        # bit for bit however many columns come with it
+        A = RNG.standard_normal((p, 80))
+        wide = _hadamard_axis0(A)
+        for c in range(1, 81):
+            assert np.array_equal(_hadamard_axis0(A[:, :c]), wide[:, :c]), c
+
+    def test_work_reused_across_shapes(self):
+        # a reused block's padding rows and the padded GEMM columns are re-zeroed
+        work = HadamardWork()
+        for p, n, c in [(1024, 1024, 64), (1024, 700, 40), (2048, 1500, 3), (64, 9, 64), (1, 1, 5)]:
+            A = RNG.standard_normal((n, c))
+            work.block(p, n, c)[:n] = A
+            padded = np.vstack([A, np.zeros((p - n, c))])
+            assert np.array_equal(work.transform(), _hadamard_axis0(padded)), (p, n, c)
+
+    def test_input_not_modified(self):
+        A = RNG.standard_normal((64, 3))
+        before = A.copy()
+        _hadamard_axis0(A)
+        assert np.array_equal(A, before)
 
     def test_involution(self):
         v = RNG.standard_normal(64)

@@ -315,6 +315,17 @@ class TestApplyAgainstMaterialize:
         )
         assert np.allclose(out, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("p", [1, 2, 8, 32, 64, 1024])
+    def test_tsrht_side_column_independent_of_width(self, p):
+        # the matched-column and pair combines see a column with different
+        # neighbours, so a side's column must not depend on them
+        spec = TensorSketchSpec(TensorFamily.TENSOR_SRHT, p, 16, 25)
+        U = RNG.standard_normal((p, 80))
+        for k in (0, 1):
+            wide = _tensor_side(spec, U, k)
+            for c in range(1, 81):
+                assert np.array_equal(_tensor_side(spec, U[:, :c], k), wide[:, :c]), (k, c)
+
     @pytest.mark.parametrize("spec", TENSOR_SPECS)
     def test_tensor_cols(self, spec):
         U1 = RNG.standard_normal((spec.side_dim, 4))
