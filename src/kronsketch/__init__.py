@@ -4,16 +4,15 @@ A balanced tree of sketches maintains an m x d stand-in for the Kronecker
 product of q factor matrices; updating one factor touches only a
 leaf-to-root path. On top of the tree sit approximate solvers for tensor
 product regression, penalized (spline) regression, and low-rank
-approximation, together with exact brute-force oracles and a
-leverage-score sampling baseline for desk-scale verification. The bench
-module gives all of it a command line.
+approximation, together with exact oracles that work from the factors
+and the label's nonzeros alone, and a leverage-score sampling baseline.
+The bench module gives all of it a command line.
 
-The package namespace re-exports what the README quick start uses; the
-rest lives in the submodules (``linalg``, ``sketches``, ``tree``,
+The package namespace re-exports what the README quick start imports
+from it; the rest lives in the submodules (``linalg``, ``sketches``, ``tree``,
 ``solvers``, ``oracle``, ``bench``).
 """
 
-from .linalg import kron_chain
 from .oracle import exact_kron_regression
 from .sketches import BaseFamily, TensorFamily, choose_m
 from .solvers import regression_query
@@ -28,6 +27,5 @@ __all__ = [
     "TreeConfig",
     "choose_m",
     "exact_kron_regression",
-    "kron_chain",
     "regression_query",
 ]

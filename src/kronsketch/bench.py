@@ -30,23 +30,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import (
-    DimensionError,
-    RegularizationError,
-    SparseVector,
-    kron_chain,
-)
+from .linalg import DimensionError, RegularizationError, SparseVector
 from .oracle import (
     LeverageBaseline,
     exact_kron_regression,
     exact_lowrank,
     exact_spline,
+    kron_reduction,
 )
 from .sketches import BaseFamily, ConfigurationError, TensorFamily, choose_m
 from .solvers import (
     SplineSpec,
     lowrank_query,
-    materialize_lowrank,
     regression_query,
     spline_query,
     statistical_dimension,
@@ -298,11 +293,10 @@ def _tree_sketch_dim(scenario: Scenario, factors, spline) -> int:
         return max(m, scenario.rank)
     if scenario.solver == "spline":
         try:
-            dim = statistical_dimension(kron_chain(factors), spline)
+            dim = statistical_dimension(kron_reduction(factors).R, spline)
         except RegularizationError:
             logger.warning(
-                "spline rank condition failed at desk scale; "
-                "falling back to fundamental_dim = d"
+                "spline rank condition failed; falling back to fundamental_dim = d"
             )
             dim = d
         m = choose_m(
@@ -335,13 +329,12 @@ class _Run:
         self.tree: TensorTree | None = None
         self.b_sketch: np.ndarray | None = None
         self.b_generation = 0
-        self._design: np.ndarray | None = None
 
         start = time.perf_counter_ns()
+        factors = [load_matrix(p) for p in scenario.factors]
         if scenario.solver == "baseline":
-            factors = [load_matrix(p) for p in scenario.factors]
             self.baseline = LeverageBaseline(
-                factors, self.b.to_dense(), scenario.eps, scenario.delta,
+                factors, self.b, scenario.eps, scenario.delta,
                 scenario.cfactor, seed,
             )
             nodes = 0
@@ -359,7 +352,6 @@ class _Run:
                         f"from the snapshot's {cfg.c_family.value} {cfg.t_family.value}"
                     )
             else:
-                factors = [load_matrix(p) for p in scenario.factors]
                 m = _tree_sketch_dim(scenario, factors, self.spline)
                 config = TreeConfig(
                     scenario.cbase, scenario.tbase, m, scenario.adaptive, seed
@@ -379,16 +371,6 @@ class _Run:
             return self.baseline.factors
         return self.tree.factors
 
-    def design(self) -> np.ndarray:
-        if self._design is None:
-            self._design = kron_chain(self.factors)
-        return self._design
-
-    def dense_label(self) -> np.ndarray:
-        if self.baseline is not None:
-            return self.baseline.b
-        return self.b.to_dense()
-
     def do_update(self, event: int, index_1based: int, path: str) -> None:
         i = index_1based - 1
         B = load_matrix(path)
@@ -403,29 +385,27 @@ class _Run:
             self.tree.update(i, B)
             nodes = self.tree.recompute_counter
         wall = time.perf_counter_ns() - start
-        self._design = None
         self.records.append(BenchRecord(event, "update", wall, nodes))
 
     def do_label_update(self, event: int, path: str) -> None:
         delta = load_sparse_vector(path)
         start = time.perf_counter_ns()
+        if self.b is None:
+            raise ValueError("label update in a scenario without --label")
+        if delta.length != self.b.length:
+            raise DimensionError("label delta length mismatch")
+        self.b = SparseVector(
+            self.b.length,
+            np.concatenate([self.b.indices, delta.indices]),
+            np.concatenate([self.b.values, delta.values]),
+        )
         if self.baseline is not None:
-            self.baseline.update_label(delta.to_dense())
-        else:
-            if self.b is None:
-                raise ValueError("label update in a scenario without --label")
-            if delta.length != self.b.length:
-                raise DimensionError("label delta length mismatch")
-            self.b = SparseVector(
-                self.b.length,
-                np.concatenate([self.b.indices, delta.indices]),
-                np.concatenate([self.b.values, delta.values]),
-            )
-            if (
-                self.b_sketch is not None
-                and self.b_generation == self.tree.generation
-            ):
-                self.b_sketch = self.b_sketch + self.tree.sketch_vector(delta)
+            self.baseline.update_label(delta)
+        elif (
+            self.b_sketch is not None
+            and self.b_generation == self.tree.generation
+        ):
+            self.b_sketch = self.b_sketch + self.tree.sketch_vector(delta)
         wall = time.perf_counter_ns() - start
         self.records.append(BenchRecord(event, "label", wall, 0))
 
@@ -448,26 +428,18 @@ class _Run:
             x = self.baseline.query()
         wall = time.perf_counter_ns() - start
 
-        A = self.design()
         oracle_cost = None
-        if sc.solver == "regression" or sc.solver == "baseline":
-            bd = self.dense_label()
-            cost = float(np.linalg.norm(A @ x - bd))
-            if sc.oracle:
-                oracle_cost = exact_kron_regression(self.factors, bd).opt_cost
-        elif sc.solver == "spline":
-            bd = self.dense_label()
-            cost = float(
-                np.linalg.norm(A @ x - bd) ** 2
-                + sc.lam * np.linalg.norm(self.spline.L @ x) ** 2
-            )
-            if sc.oracle:
-                oracle_cost = exact_spline(self.factors, bd, self.spline).opt_cost
-        else:
-            C = materialize_lowrank(low)
-            cost = float(np.linalg.norm(C - A))
+        if sc.solver == "lowrank":
+            R = kron_reduction(self.factors).R
+            cost = float(np.linalg.norm(R - (R @ low.Uk.T) @ low.Uk))
             if sc.oracle:
                 oracle_cost = exact_lowrank(self.factors, sc.rank)
+        else:
+            cost = kron_reduction(self.factors, self.b).cost(x, self.spline)
+            if sc.oracle and sc.solver == "spline":
+                oracle_cost = exact_spline(self.factors, self.b, self.spline).opt_cost
+            elif sc.oracle:
+                oracle_cost = exact_kron_regression(self.factors, self.b).opt_cost
         ratio = _ratio(cost, oracle_cost) if oracle_cost is not None else None
         self.records.append(
             BenchRecord(event, "query", wall, 0, cost, oracle_cost, ratio)

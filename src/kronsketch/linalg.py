@@ -12,6 +12,7 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,18 +110,31 @@ def kron_chain(factors) -> np.ndarray:
     mats = [as_matrix(f) for f in factors]
     if not mats:
         raise DimensionError("kron_chain needs at least one factor")
-    out = mats[0]
-    for f in mats[1:]:
-        out = kron(out, f)
-    return out
+    return functools.reduce(kron, mats)
+
+
+def kron_rows_dot(factors, indices, values) -> np.ndarray:
+    """``kron_chain(factors)[indices].T @ values`` without forming the product.
+
+    Factor rows at the indices' digits (first factor most significant) are
+    taken as d_i x nnz blocks (``np.take`` beats fancy indexing on short
+    rows); all but the last, weighted by ``values``, combine into one
+    (d / d_last) x nnz block, and one GEMM with the last ends the sum."""
+    mats = [as_matrix(f) for f in factors]
+    values = as_vector(values)
+    dims = [f.shape[0] for f in mats]
+    digits = np.unravel_index(np.asarray(indices, dtype=np.int64), dims)
+    cols = [np.take(f.T, j, axis=1) for f, j in zip(mats, digits)]
+    left = values[None, :]
+    for c in cols[:-1]:
+        left = left[:, None, :] * c[None, :, :]
+        left = left.reshape(left.shape[0] * left.shape[1], values.size)
+    return (left @ cols[-1].T).ravel()
 
 
 def _bit_parity_sign(x: np.ndarray) -> np.ndarray:
     """(-1)**popcount(x) for a nonnegative int64 array."""
-    x = x.astype(np.uint64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        x = x ^ (x >> np.uint64(shift))
-    return 1.0 - 2.0 * (x & np.uint64(1)).astype(np.float64)
+    return 1.0 - 2.0 * (np.bitwise_count(x) & 1)
 
 
 def _hadamard_matrix(p: int) -> np.ndarray:

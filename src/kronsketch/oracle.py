@@ -1,12 +1,14 @@
 """Ground-truth solvers and the leverage-score sampling baseline.
 
-Everything here works on the explicit Kronecker product and is meant for
-desk-scale verification: the exact solvers calibrate the sketched
-pipelines, and leverage-score row sampling is the classical randomized
-alternative the tree is benchmarked against. Leverage scores of the
-product matrix factor across the chain (the orthogonal factor of a
-Kronecker product is the Kronecker product of the orthogonal factors), so
-rows are sampled one digit per factor and assembled on the fly.
+The exact solvers never form the n x d Kronecker product A: with thin QR
+factorizations A_i = Q_i R_i, A = kron(Q_i) kron(R_i) and kron(Q_i) has
+orthonormal columns, so every exact answer follows from the small
+R = kron(R_i), which shares A's singular values and right singular
+vectors, and from c = kron(Q_i)^T b, read at b's nonzeros only (Van Loan
+2000; Diao, Song, Sun and Woodruff 2018). Leverage-score row sampling is
+the classical randomized alternative the tree is benchmarked against.
+Leverage scores of the product factor across the chain in the same way,
+so rows are sampled one digit per factor and assembled on the fly.
 """
 
 from __future__ import annotations
@@ -18,16 +20,15 @@ import numpy as np
 
 from .linalg import (
     DimensionError,
-    RegularizationError,
     SparseVector,
     as_matrix,
-    as_vector,
     kron_chain,
+    kron_rows_dot,
     least_squares,
     numerical_rank,
     thin_svd,
 )
-from .solvers import SplineSpec
+from .solvers import SplineSpec, penalized_solve
 
 
 class DegenerateInputError(ValueError):
@@ -42,57 +43,90 @@ class OracleSolution:
     opt_cost: float
 
 
-def _dense_label(b, n: int) -> np.ndarray:
-    if isinstance(b, SparseVector):
-        if b.length != n:
-            raise DimensionError(f"label length {b.length} != n {n}")
-        return b.to_dense()
-    b = as_vector(b)
-    if b.size != n:
-        raise DimensionError(f"label length {b.size} != n {n}")
+def _label(b, n: int) -> SparseVector:
+    """A sparse or dense label of length n, as a SparseVector."""
+    if not isinstance(b, SparseVector):
+        b = SparseVector.from_dense(b)
+    if b.length != n:
+        raise DimensionError(f"label length {b.length} != n {n}")
     return b
 
 
-def exact_kron_regression(factors, b) -> OracleSolution:
-    """Exact minimizer of ||(kron of factors) x - b||_2, desk scale.
+@dataclass(frozen=True)
+class KronReduction:
+    """``||A x - b||^2 = ||R x - c||^2 + tail`` for A the Kronecker product.
 
-    The cost reported is the residual norm at the minimum-norm solution.
+    R = kron(R_i) and c = kron(Q_i)^T b (None without a label) carry zero
+    rows up to min(n, d). tail = ||b||^2 - ||c||^2 >= 0 loses digits to
+    cancellation: a residual is exact only to about sqrt(nnz eps) ||b||
+    (3.5e-8 ||b|| on exact-fit labels, where the dense one reads 2e-13 ||b||).
     """
-    A = kron_chain(factors)
-    b = _dense_label(b, A.shape[0])
-    x = least_squares(A, b).x
-    return OracleSolution(x, float(np.linalg.norm(A @ x - b)))
+
+    R: np.ndarray
+    c: np.ndarray | None
+    tail: float
+
+    def cost(self, x, spline: SplineSpec | None = None) -> float:
+        """||A x - b||, or ||A x - b||^2 + lam ||L x||^2 given a spline."""
+        r = self.R @ x - self.c
+        sq = float(r @ r) + self.tail
+        if spline is None:
+            return math.sqrt(sq)
+        return sq + spline.lam * float(np.linalg.norm(spline.L @ x)) ** 2
+
+
+def kron_reduction(factors, b=None) -> KronReduction:
+    """The reduction of the Kronecker product of ``factors`` and label b.
+
+    b is sparse or dense (duplicate indices sum), or None for R alone. The
+    cost is a thin QR per factor, a sort of b's nonzeros and one
+    ``kron_rows_dot``; nothing of size n is allocated.
+    """
+    mats = [as_matrix(f) for f in factors]
+    if not mats:
+        raise DimensionError("need at least one factor")
+    qr = [np.linalg.qr(A) for A in mats]
+    n = math.prod(A.shape[0] for A in mats)
+    R = kron_chain([r for _, r in qr])
+    pad = min(n, R.shape[1]) - R.shape[0]
+    R = np.vstack([R, np.zeros((pad, R.shape[1]))])
+    if b is None:
+        return KronReduction(R, None, 0.0)
+    b = _label(b, n)
+    order = np.argsort(b.indices, kind="stable")
+    idx = b.indices[order]
+    first = np.flatnonzero(np.diff(idx, prepend=-1))
+    idx, vals = idx[first], np.add.reduceat(b.values[order], first)
+    c = np.concatenate([kron_rows_dot([q for q, _ in qr], idx, vals), np.zeros(pad)])
+    return KronReduction(R, c, max(float(vals @ vals - c @ c), 0.0))
+
+
+def exact_kron_regression(factors, b) -> OracleSolution:
+    """Exact minimizer of ||(kron of factors) x - b||_2.
+
+    The cost reported is the residual norm at the minimum-norm solution;
+    n < d raises DimensionError.
+    """
+    red = kron_reduction(factors, b)
+    x = least_squares(red.R, red.c).x
+    return OracleSolution(x, red.cost(x))
 
 
 def exact_spline(factors, b, spline: SplineSpec) -> OracleSolution:
-    """Exact minimizer of ||A x - b||^2 + lam ||L x||^2, desk scale."""
-    A = kron_chain(factors)
-    b = _dense_label(b, A.shape[0])
-    L = spline.L
-    if L.shape[1] != A.shape[1]:
-        raise DimensionError(f"L has {L.shape[1]} cols, A has {A.shape[1]}")
-    stacked = np.vstack([A, math.sqrt(spline.lam) * L])
-    result = least_squares(stacked, np.concatenate([b, np.zeros(L.shape[0])]))
-    if result.rank_deficient:
-        raise RegularizationError(
-            "normal matrix A.T A + lam L.T L is singular"
-        )
-    x = result.x
-    cost = float(
-        np.linalg.norm(A @ x - b) ** 2 + spline.lam * np.linalg.norm(L @ x) ** 2
-    )
-    return OracleSolution(x, cost)
+    """Exact minimizer of ||A x - b||^2 + lam ||L x||^2."""
+    red = kron_reduction(factors, b)
+    x = penalized_solve(red.R, red.c, spline)
+    return OracleSolution(x, red.cost(x, spline))
 
 
 def exact_lowrank(factors, k: int) -> float:
-    """Optimal rank-k approximation error of the explicit product.
+    """Optimal rank-k approximation error of the Kronecker product.
 
     Frobenius norm of the singular-value tail, sqrt(sum_{i>k} s_i^2).
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    A = kron_chain(factors)
-    s = np.linalg.svd(A, compute_uv=False)
+    s = np.linalg.svd(kron_reduction(factors).R, compute_uv=False)
     return float(np.sqrt(np.sum(s[k:] ** 2)))
 
 
@@ -112,20 +146,17 @@ def _sampled_solve(mats, b, scores, eps, delta, c_factor, seed) -> np.ndarray:
     if any(t <= 0.0 for t in totals):
         raise DegenerateInputError("a factor has all-zero leverage scores")
     probs = [s / t for s, t in zip(scores, totals)]
-    d = 1
-    for A in mats:
-        d *= A.shape[1]
+    d = math.prod(A.shape[1] for A in mats)
     # the sampled system must stay overdetermined
     m = max(math.ceil(c_factor * d / (delta * eps**2)), d)
     rng = np.random.default_rng(seed)
     draws = [rng.choice(A.shape[0], size=m, p=p) for A, p in zip(mats, probs)]
     rows = mats[0][draws[0]]
     p_row = probs[0][draws[0]].copy()
-    flat = draws[0].astype(np.int64)
     for A, p, idx in zip(mats[1:], probs[1:], draws[1:]):
         rows = np.einsum("mi,mj->mij", rows, A[idx]).reshape(m, -1)
         p_row *= p[idx]
-        flat = flat * A.shape[0] + idx
+    flat = np.ravel_multi_index(draws, [A.shape[0] for A in mats])
     w = 1.0 / np.sqrt(m * p_row)
     return least_squares(w[:, None] * rows, w * b[flat]).x
 
@@ -145,10 +176,7 @@ def leverage_sample_regression(
         raise DimensionError("need at least one factor")
     if not (0.0 < eps and 0.0 < delta < 1.0):
         raise ValueError("need eps > 0 and 0 < delta < 1")
-    n = 1
-    for A in mats:
-        n *= A.shape[0]
-    b = _dense_label(b, n)
+    b = _label(b, math.prod(A.shape[0] for A in mats)).to_dense()
     scores = [leverage_scores(A) for A in mats]
     return _sampled_solve(mats, b, scores, eps, delta, c_factor, seed)
 
@@ -163,10 +191,7 @@ class LeverageBaseline:
 
     def __init__(self, factors, b, eps, delta, c_factor=1.0, seed=0):
         self.factors = [as_matrix(f).copy() for f in factors]
-        n = 1
-        for A in self.factors:
-            n *= A.shape[0]
-        self.b = _dense_label(b, n)
+        self.b = _label(b, math.prod(A.shape[0] for A in self.factors)).to_dense()
         self.eps = eps
         self.delta = delta
         self.c_factor = c_factor
@@ -183,7 +208,7 @@ class LeverageBaseline:
         self._scores[i] = None
 
     def update_label(self, delta) -> None:
-        self.b = self.b + _dense_label(delta, self.b.size)
+        self.b = self.b + _label(delta, self.b.size).to_dense()
 
     def query(self) -> np.ndarray:
         for i, A in enumerate(self.factors):

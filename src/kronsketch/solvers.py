@@ -87,32 +87,35 @@ def regression_query(tree: TensorTree, b_sketch) -> np.ndarray:
     return least_squares(M, b_sketch).x
 
 
-def spline_query(tree: TensorTree, b_sketch, spline: SplineSpec) -> np.ndarray:
-    """Approximate minimizer of ||A x - b||^2 + lam ||L x||^2.
+def penalized_solve(M, y, spline: SplineSpec) -> np.ndarray:
+    """Minimizer of ||M x - y||^2 + lam ||L x||^2.
 
     Solved as one least-squares problem on the stacked [M; sqrt(lam) L]
     (orthogonal factorization), which is equivalent to the normal-equation
-    closed form (M.T M + lam L.T L)^{-1} M.T b_sketch but better
-    conditioned.
+    closed form (M.T M + lam L.T L)^{-1} M.T y but better conditioned.
+    Fewer stacked rows than columns raise DimensionError, and a singular
+    normal matrix raises RegularizationError.
     """
+    L = spline.L
+    if L.shape[1] != M.shape[1]:
+        raise DimensionError(f"L has {L.shape[1]} cols, expected {M.shape[1]}")
+    stacked = np.vstack([M, math.sqrt(spline.lam) * L])
+    result = least_squares(stacked, np.concatenate([y, np.zeros(L.shape[0])]))
+    if result.rank_deficient:
+        raise RegularizationError(_RANK_CONDITION)
+    return result.x
+
+
+def spline_query(tree: TensorTree, b_sketch, spline: SplineSpec) -> np.ndarray:
+    """Approximate minimizer of ||A x - b||^2 + lam ||L x||^2: the
+    penalized problem on the root M and the sketched label."""
     M = tree.root
     b_sketch = as_vector(b_sketch)
-    L = spline.L
-    d = M.shape[1]
-    if L.shape[1] != d:
-        raise DimensionError(f"L has {L.shape[1]} cols, expected {d}")
     if b_sketch.size != M.shape[0]:
         raise DimensionError(
             f"sketched label length {b_sketch.size} != m {M.shape[0]}"
         )
-    stacked = np.vstack([M, math.sqrt(spline.lam) * L])
-    rhs = np.concatenate([b_sketch, np.zeros(L.shape[0])])
-    if stacked.shape[0] < d:
-        raise DimensionError("m + p must be at least d")
-    result = least_squares(stacked, rhs)
-    if result.rank_deficient:
-        raise RegularizationError(_RANK_CONDITION)
-    return result.x
+    return penalized_solve(M, b_sketch, spline)
 
 
 def statistical_dimension(A, spline: SplineSpec) -> float:

@@ -303,7 +303,7 @@ class TensorTree:
                 f"vector length {sv.length} != product of factor rows {n_total}"
             )
         cfg = self.config
-        digits = self._decompose(sv.indices, n_dims)
+        digits = np.unravel_index(sv.indices, n_dims)
         if cfg.c_family is BaseFamily.COUNT_SKETCH and (
             cfg.t_family is TensorFamily.TENSOR_SKETCH or self.q == 1
         ):
@@ -329,18 +329,6 @@ class TensorTree:
 
     def _pair_one_hot(self, key, left, right):
         return tensorsketch_cols(self.node_specs[key], left, right)
-
-    @staticmethod
-    def _decompose(indices: np.ndarray, dims) -> list[np.ndarray]:
-        """Per-factor digit arrays of flat indices, first factor most significant."""
-        j = np.ascontiguousarray(indices, dtype=np.int64)
-        digits: list[np.ndarray] = [np.empty(0)] * len(dims)
-        for t in range(len(dims) - 1, -1, -1):
-            digits[t] = j % dims[t]
-            j = j // dims[t]
-        if np.any(j):
-            raise IndexError("flat index out of range")
-        return digits
 
     def materialize_sketch(self) -> np.ndarray:
         """Explicit m x n composite sketching matrix (desk scale only)."""

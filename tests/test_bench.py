@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,48 @@ class TestReplay:
                 tmp_path, factor_paths, factors=[], resume_tree=str(snap),
                 stream=None, **families,
             ))
+
+
+class TestLargeReplay:
+    """Oracle replays at n = 1024^3 (q = 3, 1024 x 2 factors), where the
+    n x d product would hold 8.6e9 elements: the scoring and the exact
+    oracles must read only the factors and the label's nonzeros."""
+
+    @pytest.mark.parametrize("solver", ["regression", "spline", "lowrank"])
+    def test_oracle_ratios_in_small_memory(self, tmp_path, solver):
+        rng = np.random.default_rng(1024)
+        factor_paths = []
+        for i in range(3):
+            p = tmp_path / f"A{i}.kmat"
+            save_matrix(p, rng.standard_normal((1024, 2)))
+            factor_paths.append(str(p))
+        save_matrix(tmp_path / "B.kmat", 0.1 * rng.standard_normal((1024, 2)))
+        n = 1024**3
+        for name, nnz in (("b", 1000), ("delta", 16)):
+            save_sparse_vector(tmp_path / f"{name}.spvec", SparseVector(
+                n, rng.integers(0, n, nnz), rng.standard_normal(nnz)))
+        save_matrix(tmp_path / "L.kmat", np.eye(7, 8) - np.eye(7, 8, 1))
+        stream = "Q\nU 2 B.kmat\nQ\n"
+        if solver != "lowrank":
+            stream += "B delta.spvec\nQ\n"
+        (tmp_path / "stream.txt").write_text(stream)
+        sc = base_scenario(
+            tmp_path, factor_paths, solver=solver, rank=2,
+            label=None if solver == "lowrank" else str(tmp_path / "b.spvec"),
+            spline_l=str(tmp_path / "L.kmat"), lam=1.0,
+        )
+        tracemalloc.start()
+        try:
+            records = replay(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratios = [r.ratio for r in records if r.kind == "query"]
+        assert len(ratios) == stream.count("Q")
+        for ratio in ratios:
+            assert ratio is not None and math.isfinite(ratio)
+            assert ratio >= 1.0 - 1e-9
+        assert peak < 16 * 2**20
 
 
 class TestReport:

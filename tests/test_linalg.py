@@ -13,9 +13,11 @@ from kronsketch.linalg import (
     HadamardWork,
     RegularizationError,
     SparseVector,
+    _bit_parity_sign,
     _hadamard_axis0,
     kron,
     kron_chain,
+    kron_rows_dot,
     least_squares,
     sym_generalized_eigs,
     thin_svd,
@@ -111,6 +113,42 @@ class TestKronChain:
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
             kron_chain([])
+
+
+class TestKronRowsDot:
+    """kron_rows_dot against rows of the explicit product."""
+
+    @given(st.integers(1, 4), st.integers(0, 12), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_product_rows(self, q, nnz, seed):
+        rng = np.random.default_rng(seed)
+        factors = [
+            rng.standard_normal((int(rng.integers(1, 5)), int(rng.integers(1, 4))))
+            for _ in range(q)
+        ]
+        A = kron_chain(factors)
+        idx = rng.integers(0, A.shape[0], nnz)
+        vals = rng.standard_normal(nnz)
+        expected = A[idx].T @ vals
+        assert np.allclose(kron_rows_dot(factors, idx, vals), expected, atol=1e-12)
+
+    def test_empty_selection_is_zero(self):
+        out = kron_rows_dot([np.ones((3, 2)), np.ones((2, 2))], [], [])
+        assert np.array_equal(out, np.zeros(4))
+
+
+def test_bit_parity_sign_matches_shift_xor_fold():
+    """np.bitwise_count parity against the shift-xor fold it replaced."""
+    x = np.concatenate([
+        RNG.integers(0, 2**63 - 1, 10**4, dtype=np.int64, endpoint=True),
+        [0, 1, 2**62, 2**63 - 1],
+    ])
+    folded = x.astype(np.uint64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        folded = folded ^ (folded >> np.uint64(shift))
+    expected = 1.0 - 2.0 * (folded & np.uint64(1)).astype(np.float64)
+    got = _bit_parity_sign(x)
+    assert got.dtype == np.float64 and np.array_equal(got, expected)
 
 
 def _sylvester_hadamard(n):

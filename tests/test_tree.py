@@ -373,7 +373,7 @@ class TestFailedUpdate:
 
 def folded_label(tree, sv):
     """Reference label sketch: every nonzero's base columns folded up the tree at once."""
-    digits = tree._decompose(sv.indices, [f.shape[0] for f in tree.factors])
+    digits = np.unravel_index(sv.indices, [f.shape[0] for f in tree.factors])
     mats = [base_columns(spec, d) for spec, d in zip(tree.leaf_specs, digits)]
     for mats in _fold(mats, lambda key, l, r: apply_tensor_cols(tree.node_specs[key], l, r)):
         pass
