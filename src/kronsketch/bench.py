@@ -21,6 +21,7 @@ verification that the ``oracle`` toggle adds to query events.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import math
 import re
@@ -67,9 +68,12 @@ class ParseError(ValueError):
 # file formats
 
 
-def _tokenize(data: bytes):
-    """(token, byte offset) pairs for whitespace-separated tokens."""
-    return [(m.group(0), m.start()) for m in re.finditer(rb"\S+", data)]
+def _tokens_at(data: bytes, start: int = 0):
+    """(token, byte offset) of the whitespace-separated tokens of data from
+    token ``start`` on, matched lazily, so a caller pays only for what it
+    reads: the two header tokens, or the payload on an error path."""
+    matches = itertools.islice(re.finditer(rb"\S+", data), start, None)
+    return ((m.group(0), m.start()) for m in matches)
 
 
 def _parse_count(token: bytes, offset: int, what: str) -> int:
@@ -93,17 +97,18 @@ def _parse_float(token: bytes, offset: int) -> float:
 
 
 def _counted_payload(path, names, size, unit):
-    """The two header counts and the payload tokens of a counted text file.
+    """The file's bytes, the two header counts and the payload tokens of a
+    counted text file.
 
     ``names`` labels the counts in errors, ``size(a, b)`` is the number of
     payload tokens they announce, and ``unit`` names those tokens; a short
     or overlong payload raises.
     """
     data = Path(path).read_bytes()
-    tokens = _tokenize(data)
+    tokens = data.split()
     if len(tokens) < 2:
-        raise ParseError("missing header", 0 if not tokens else tokens[-1][1])
-    a, b = (_parse_count(tok, off, name) for (tok, off), name in zip(tokens, names))
+        raise ParseError("missing header", next(_tokens_at(data), (b"", 0))[1])
+    a, b = (_parse_count(tok, off, name) for (tok, off), name in zip(_tokens_at(data), names))
     need = size(a, b)
     payload = tokens[2:]
     if len(payload) < need:
@@ -112,17 +117,34 @@ def _counted_payload(path, names, size, unit):
             len(data),
         )
     if len(payload) > need:
-        raise ParseError("trailing data after payload", payload[need][1])
-    return a, b, payload
+        raise ParseError("trailing data after payload", next(_tokens_at(data, 2 + need))[1])
+    return data, a, b, payload
+
+
+def _bulk(convert, tokens, dtype, ok) -> np.ndarray | None:
+    """``convert`` of every token, as one array, or None if a token does not
+    convert or the array fails ``ok``; the caller then parses token by token,
+    with offsets, to raise at the first fault."""
+    try:
+        out = np.fromiter(map(convert, tokens), dtype, count=len(tokens))
+    except (ValueError, OverflowError):
+        return None
+    return out if ok(out) else None
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    return bool(np.isfinite(values).all())
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a KMAT file into a matrix."""
-    rows, cols, payload = _counted_payload(
+    data, rows, cols, payload = _counted_payload(
         path, ("row count", "column count"), lambda r, c: r * c, "values"
     )
-    values = [_parse_float(tok, off) for tok, off in payload]
-    return np.array(values, dtype=np.float64).reshape(rows, cols)
+    values = _bulk(float, payload, np.float64, _all_finite)
+    if values is None:
+        values = np.array([_parse_float(tok, off) for tok, off in _tokens_at(data, 2)])
+    return values.reshape(rows, cols)
 
 
 def save_matrix(path, M) -> None:
@@ -135,18 +157,23 @@ def save_matrix(path, M) -> None:
 
 def load_sparse_vector(path) -> SparseVector:
     """Read a sparse vector file (``len nnz`` header, then index/value pairs)."""
-    length, nnz, payload = _counted_payload(
+    data, length, nnz, payload = _counted_payload(
         path, ("vector length", "nonzero count"), lambda n, k: 2 * k, "tokens"
     )
-    indices = np.empty(nnz, dtype=np.int64)
-    values = np.empty(nnz)
-    for k in range(nnz):
-        tok, off = payload[2 * k]
-        idx = _parse_count(tok, off, "index")
-        if idx >= length:
-            raise ParseError(f"index {idx} out of range [0, {length})", off)
-        indices[k] = idx
-        values[k] = _parse_float(*payload[2 * k + 1])
+    indices = _bulk(
+        int, payload[0::2], np.int64, lambda i: bool(((i >= 0) & (i < length)).all())
+    )
+    values = _bulk(float, payload[1::2], np.float64, _all_finite)
+    if indices is None or values is None:
+        indices = np.empty(nnz, dtype=np.int64)
+        values = np.empty(nnz)
+        pairs = _tokens_at(data, 2)
+        for k, ((tok, off), value) in enumerate(zip(pairs, pairs)):
+            idx = _parse_count(tok, off, "index")
+            if idx >= length:
+                raise ParseError(f"index {idx} out of range [0, {length})", off)
+            indices[k] = idx
+            values[k] = _parse_float(*value)
     return SparseVector(length, indices, values)
 
 
@@ -429,17 +456,23 @@ class _Run:
         wall = time.perf_counter_ns() - start
 
         oracle_cost = None
+        # one reduction scores the answer and feeds the exact oracle
         if sc.solver == "lowrank":
-            R = kron_reduction(self.factors).R
-            cost = float(np.linalg.norm(R - (R @ low.Uk.T) @ low.Uk))
+            red = kron_reduction(self.factors)
+            cost = float(np.linalg.norm(red.R - (red.R @ low.Uk.T) @ low.Uk))
             if sc.oracle:
-                oracle_cost = exact_lowrank(self.factors, sc.rank)
+                oracle_cost = exact_lowrank(self.factors, sc.rank, reduction=red)
         else:
-            cost = kron_reduction(self.factors, self.b).cost(x, self.spline)
+            red = kron_reduction(self.factors, self.b)
+            cost = red.cost(x, self.spline)
             if sc.oracle and sc.solver == "spline":
-                oracle_cost = exact_spline(self.factors, self.b, self.spline).opt_cost
+                oracle_cost = exact_spline(
+                    self.factors, self.b, self.spline, reduction=red
+                ).opt_cost
             elif sc.oracle:
-                oracle_cost = exact_kron_regression(self.factors, self.b).opt_cost
+                oracle_cost = exact_kron_regression(
+                    self.factors, self.b, reduction=red
+                ).opt_cost
         ratio = _ratio(cost, oracle_cost) if oracle_cost is not None else None
         self.records.append(
             BenchRecord(event, "query", wall, 0, cost, oracle_cost, ratio)

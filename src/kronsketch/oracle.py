@@ -101,32 +101,40 @@ def kron_reduction(factors, b=None) -> KronReduction:
     return KronReduction(R, c, max(float(vals @ vals - c @ c), 0.0))
 
 
-def exact_kron_regression(factors, b) -> OracleSolution:
+def exact_kron_regression(factors, b, *, reduction: KronReduction | None = None) -> OracleSolution:
     """Exact minimizer of ||(kron of factors) x - b||_2.
 
     The cost reported is the residual norm at the minimum-norm solution;
-    n < d raises DimensionError.
+    n < d raises DimensionError. A caller that already holds
+    ``kron_reduction(factors, b)`` passes it as ``reduction``, and it is
+    used instead of a second one.
     """
-    red = kron_reduction(factors, b)
+    red = kron_reduction(factors, b) if reduction is None else reduction
     x = least_squares(red.R, red.c).x
     return OracleSolution(x, red.cost(x))
 
 
-def exact_spline(factors, b, spline: SplineSpec) -> OracleSolution:
-    """Exact minimizer of ||A x - b||^2 + lam ||L x||^2."""
-    red = kron_reduction(factors, b)
+def exact_spline(
+    factors, b, spline: SplineSpec, *, reduction: KronReduction | None = None
+) -> OracleSolution:
+    """Exact minimizer of ||A x - b||^2 + lam ||L x||^2; ``reduction`` as for
+    ``exact_kron_regression``."""
+    red = kron_reduction(factors, b) if reduction is None else reduction
     x = penalized_solve(red.R, red.c, spline)
     return OracleSolution(x, red.cost(x, spline))
 
 
-def exact_lowrank(factors, k: int) -> float:
+def exact_lowrank(factors, k: int, *, reduction: KronReduction | None = None) -> float:
     """Optimal rank-k approximation error of the Kronecker product.
 
     Frobenius norm of the singular-value tail, sqrt(sum_{i>k} s_i^2).
+    ``reduction``, if given, is ``kron_reduction(factors)`` (a label's
+    reduction holds the same R).
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    s = np.linalg.svd(kron_reduction(factors).R, compute_uv=False)
+    red = kron_reduction(factors) if reduction is None else reduction
+    s = np.linalg.svd(red.R, compute_uv=False)
     return float(np.sqrt(np.sum(s[k:] ** 2)))
 
 

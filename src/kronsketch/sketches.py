@@ -28,6 +28,9 @@ forming the long vector:
   under TensorSketch nodes stay one-hot all the way up (Pham-Pagh, KDD
   2013). ``countsketch_columns`` and ``tensorsketch_cols`` carry such
   columns as (row, sign) arrays, in O(1) per column at any m.
+  The outputs also have an orthonormal real-Fourier frame (``to_frame``):
+  the weighted real and imaginary parts of their rfft, which the pair
+  combine gives straight from the side products, with no inverse transform.
 * TensorSRHT: per output row r, the product of one coordinate of H D1 u and
   one of H D2 v (H the unnormalized +-1 Hadamard matrix on the padded
   side, applied by the same GEMMs), scaled by 1/sqrt(m_out). A column's
@@ -354,13 +357,53 @@ def _tensor_finish(spec: TensorSketchSpec, prod: np.ndarray) -> np.ndarray:
     return prod / math.sqrt(spec.output_dim)
 
 
-def apply_tensor_pair(spec: TensorSketchSpec, J1, J2) -> np.ndarray:
+def _fourier_weights(m: int) -> np.ndarray:
+    """Weights of the m // 2 + 1 rfft bins of an m-vector that make the real
+    Fourier frame orthogonal: sqrt(1/m) at DC (and at Nyquist for even m),
+    where the bin stands for itself, and sqrt(2/m) at every other bin, which
+    stands for its conjugate twin as well (Parseval)."""
+    w = np.full(m // 2 + 1, math.sqrt(2.0 / m))
+    w[0] = math.sqrt(1.0 / m)
+    if m % 2 == 0:
+        w[-1] = w[0]
+    return w
+
+
+def _real_stack(F: np.ndarray, m: int) -> np.ndarray:
+    """Real parts of the m // 2 + 1 rfft bins F (along axis 0) over the
+    imaginary parts of bins 1 .. ceil(m / 2) - 1, those of DC and Nyquist
+    being zero: m real rows."""
+    k = F.shape[0]
+    out = np.empty((m, *F.shape[1:]))
+    out[:k], out[k:] = F.real, F.imag[1:(m + 1) // 2]
+    return out
+
+
+def to_frame(spec: TensorSketchSpec | None, Y) -> np.ndarray:
+    """Q Y along axis 0, for Q the orthogonal frame of the outputs of ``spec``.
+
+    For TensorSketch, Q is the real Fourier transform: the rfft bins of Y
+    weighted by ``_fourier_weights``, then ``_real_stack``. For TensorSRHT,
+    or no spec (a lone leaf), Q is the identity and Y comes back as it is.
+    """
+    if spec is None or spec.family is not TensorFamily.TENSOR_SKETCH:
+        return Y
+    m = spec.output_dim
+    return _real_stack((np.fft.rfft(Y, axis=0).T * _fourier_weights(m)).T, m)
+
+
+def apply_tensor_pair(spec: TensorSketchSpec, J1, J2, *, frame: bool = False) -> np.ndarray:
     """Sketch every Kronecker column pair of J1 and J2.
 
     Output column (c1, c2), stored at index c1 * J2.cols + c2, equals the
     sketch applied to J1[:, c1] (x) J2[:, c2]. The Kronecker vectors are
     never formed: each side is transformed once and the outer product of
     the two transforms is finished per column pair.
+
+    With ``frame`` the result is given in the spec's orthonormal frame,
+    ``to_frame(spec, apply_tensor_pair(spec, J1, J2))`` up to rounding. For
+    TensorSketch that skips the inverse rfft; for TensorSRHT it changes
+    nothing.
     """
     J1 = as_matrix(J1)
     J2 = as_matrix(J2)
@@ -372,7 +415,11 @@ def apply_tensor_pair(spec: TensorSketchSpec, J1, J2) -> np.ndarray:
     c1, c2 = J1.shape[1], J2.shape[1]
     if m_out * c1 * c2 > MAX_ELEMENTS:
         raise DimensionError("tensor sketch output exceeds element limit")
-    prod = _tensor_side(spec, J1, 0)[:, :, None] * _tensor_side(spec, J2, 1)[:, None, :]
+    left, right = _tensor_side(spec, J1, 0), _tensor_side(spec, J2, 1)
+    if frame and spec.family is TensorFamily.TENSOR_SKETCH:
+        prod = (left * _fourier_weights(m_out)[:, None])[:, :, None] * right[:, None, :]
+        return _real_stack(prod, m_out).reshape(m_out, c1 * c2)
+    prod = left[:, :, None] * right[:, None, :]
     return _tensor_finish(spec, prod).reshape(m_out, c1 * c2)
 
 

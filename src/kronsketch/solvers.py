@@ -1,11 +1,15 @@
 """Query pipelines over a sketched Kronecker product tree.
 
-All three solvers read the tree's root matrix M (m x d) and never touch
-the full design matrix: regression solves the sketched least squares,
-spline regression solves the sketched penalized problem, and low-rank
-approximation takes top right singular vectors of M. Everything here is
-read-only with respect to the tree and safe to run concurrently with other
-reads, never concurrently with an update.
+All three solvers read the tree's root in its orthonormal frame, R = Q M
+(m x d, ``TensorTree.frame``), and never touch the full design matrix or
+the time-domain root M: regression solves the sketched least squares,
+spline regression solves the sketched penalized problem, both with the
+label rotated by the same Q, and low-rank approximation takes top right
+singular vectors of R. Q is orthogonal, so each answer is the one M would
+give, up to rounding (bit for bit where Q is the identity: TensorSRHT roots
+and one-leaf trees). Everything here is read-only with respect to the tree
+and safe to run concurrently with other reads, never concurrently with an
+update.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .linalg import (
     DimensionError,
     RegularizationError,
     as_matrix,
-    as_vector,
     kron_chain,
     least_squares,
     numerical_rank,
@@ -71,20 +74,16 @@ class LowRankResult:
 def regression_query(tree: TensorTree, b_sketch) -> np.ndarray:
     """Approximate minimizer of ||(kron of factors) x - b||_2.
 
-    Solves the sketched problem min_x ||M x - b_sketch|| at the root.
+    Solves the sketched problem min_x ||M x - b_sketch|| at the root, as
+    min_x ||R x - Q b_sketch|| in the root's frame.
     """
-    M = tree.root
-    b_sketch = as_vector(b_sketch)
-    if M.shape[0] < M.shape[1]:
+    R, y = tree.frame(b_sketch)
+    if R.shape[0] < R.shape[1]:
         raise ConfigurationError(
-            f"sketching dimension {M.shape[0]} cannot embed a "
-            f"{M.shape[1]}-dimensional column space; increase m"
+            f"sketching dimension {R.shape[0]} cannot embed a "
+            f"{R.shape[1]}-dimensional column space; increase m"
         )
-    if b_sketch.size != M.shape[0]:
-        raise DimensionError(
-            f"sketched label length {b_sketch.size} != m {M.shape[0]}"
-        )
-    return least_squares(M, b_sketch).x
+    return least_squares(R, y).x
 
 
 def penalized_solve(M, y, spline: SplineSpec) -> np.ndarray:
@@ -108,14 +107,8 @@ def penalized_solve(M, y, spline: SplineSpec) -> np.ndarray:
 
 def spline_query(tree: TensorTree, b_sketch, spline: SplineSpec) -> np.ndarray:
     """Approximate minimizer of ||A x - b||^2 + lam ||L x||^2: the
-    penalized problem on the root M and the sketched label."""
-    M = tree.root
-    b_sketch = as_vector(b_sketch)
-    if b_sketch.size != M.shape[0]:
-        raise DimensionError(
-            f"sketched label length {b_sketch.size} != m {M.shape[0]}"
-        )
-    return penalized_solve(M, b_sketch, spline)
+    penalized problem on the root and the sketched label, in the root's frame."""
+    return penalized_solve(*tree.frame(b_sketch), spline)
 
 
 def statistical_dimension(A, spline: SplineSpec) -> float:
@@ -164,16 +157,17 @@ def statistical_dimension(A, spline: SplineSpec) -> float:
 def lowrank_query(tree: TensorTree, k: int) -> LowRankResult:
     """Rank-k approximation of the Kronecker product, in factored form.
 
-    Takes the top k right singular vectors of the root sketch; the result
-    represents (kron of factors) @ Uk.T @ Uk without forming it.
+    Takes the top k right singular vectors of the root sketch (those of
+    its frame R); the result represents (kron of factors) @ Uk.T @ Uk
+    without forming it.
     """
-    M = tree.root
-    d = M.shape[1]
+    R, _ = tree.frame()
+    d = R.shape[1]
     if not 1 <= k <= d:
         raise ValueError(f"rank k={k} out of range [1, {d}]")
-    if M.shape[0] < k:
-        raise ConfigurationError(f"need m >= k, got m={M.shape[0]}, k={k}")
-    _, _, V = thin_svd(M)
+    if R.shape[0] < k:
+        raise ConfigurationError(f"need m >= k, got m={R.shape[0]}, k={k}")
+    _, _, V = thin_svd(R)
     Uk = np.ascontiguousarray(V[:, :k].T)
     return LowRankResult([f.copy() for f in tree.factors], Uk)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,40 @@ class TestKmatFormat:
         p.write_text("1 1\n1.0 2.0\n")
         with pytest.raises(ParseError, match="trailing"):
             load_matrix(p)
+
+
+class TestBulkParse:
+    """Files convert in bulk; a bad token is located, with its byte offset,
+    only on the raising path."""
+
+    @pytest.mark.parametrize("kind", ["kmat", "spvec"])
+    @pytest.mark.parametrize("bad", [b"1.0x", b"nan"])
+    def test_bad_token_deep_in_a_large_file(self, tmp_path, kind, bad):
+        rng = np.random.default_rng(77)
+        if kind == "kmat":
+            save_matrix(tmp_path / "f", rng.standard_normal((400, 250)))
+            load, at = load_matrix, 2 + 87_654
+        else:
+            n = 10**9
+            save_sparse_vector(tmp_path / "f", SparseVector(
+                n, rng.integers(0, n, 50_000), rng.standard_normal(50_000)))
+            load, at = load_sparse_vector, 2 + 2 * 43_210 + 1  # a value
+        data = (tmp_path / "f").read_bytes()
+        starts = [m.start() for m in re.finditer(rb"\S+", data)]
+        end = data.index(b" " if kind == "kmat" else b"\n", starts[at])
+        (tmp_path / "f").write_bytes(data[:starts[at]] + bad + data[end:])
+        with pytest.raises(ParseError) as excinfo:
+            load(tmp_path / "f")
+        assert excinfo.value.offset == starts[at]
+
+    def test_bulk_values_match_token_parse(self, tmp_path):
+        (tmp_path / "m.kmat").write_text("2 3\n1_0 -0.0 +7e-3\n4 1e308 .5\n")
+        assert np.array_equal(
+            load_matrix(tmp_path / "m.kmat"), [[10.0, -0.0, 7e-3], [4.0, 1e308, 0.5]]
+        )
+        (tmp_path / "v.spvec").write_text("10 2\n+3 1.5\n09 -2\n")
+        sv = load_sparse_vector(tmp_path / "v.spvec")
+        assert sv.indices.tolist() == [3, 9] and sv.values.tolist() == [1.5, -2.0]
 
 
 class TestSparseVectorFormat:
@@ -242,6 +277,25 @@ class TestReplay:
             stream=None, cfactor=2.0,
         ))
         assert parsed.count(L_path) == 1
+
+    @pytest.mark.parametrize("solver", ["regression", "spline", "lowrank"])
+    def test_oracle_reduction_built_once_per_query(self, scenario_files, monkeypatch, solver):
+        tmp_path, factor_paths = scenario_files
+        calls = []
+        reduce = bench.kron_reduction
+        monkeypatch.setattr(bench, "kron_reduction", lambda *a: calls.append(1) or reduce(*a))
+        sc = base_scenario(
+            tmp_path, factor_paths, solver=solver, rank=2,
+            label=None if solver == "lowrank" else str(tmp_path / "b.spvec"),
+            spline_l=str(tmp_path / "L.kmat"), lam=0.5,
+            stream=None if solver == "lowrank" else str(tmp_path / "stream.txt"),
+        )
+        if solver == "lowrank":
+            (tmp_path / "lowrank.txt").write_text("Q\nU 1 B.kmat\nQ\n")
+            sc.stream = str(tmp_path / "lowrank.txt")
+        records = replay(sc)
+        setup = 1 if solver == "spline" else 0  # the spline's statistical dimension
+        assert len(calls) - setup == sum(r.kind == "query" for r in records) > 0
 
     def test_lowrank_solver(self, scenario_files):
         tmp_path, factor_paths = scenario_files

@@ -381,6 +381,15 @@ class TestAgainstDenseReference:
         with pytest.raises(DimensionError):
             exact_kron_regression(factors + [np.ones((2, 1))], b)
 
+    def test_given_reduction_gives_the_same_answers(self):
+        factors, b = DUPLICATES
+        red = kron_reduction(factors, b)
+        spline = SplineSpec(np.eye(1, math.prod(f.shape[1] for f in factors)), 0.5)
+        for fn, args in ((exact_kron_regression, ()), (exact_spline, (spline,))):
+            own, given = fn(factors, b, *args), fn(factors, b, *args, reduction=red)
+            assert np.array_equal(own.x_star, given.x_star) and own.opt_cost == given.opt_cost
+        assert exact_lowrank(factors, 1) == exact_lowrank(factors, 1, reduction=red)
+
     def test_reduction_cost_matches_objective(self):
         rng = np.random.default_rng(8)
         factors = [rng.standard_normal((4, 2)), rng.standard_normal((3, 2))]

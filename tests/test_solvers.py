@@ -1,12 +1,24 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kronsketch.linalg import DimensionError, RegularizationError, kron_chain, thin_svd
-from kronsketch.sketches import ConfigurationError
+from kronsketch.linalg import (
+    DimensionError,
+    RegularizationError,
+    kron_chain,
+    least_squares,
+    thin_svd,
+)
+from kronsketch.sketches import BaseFamily, ConfigurationError, TensorFamily
 from kronsketch.solvers import (
     SplineSpec,
     lowrank_query,
     materialize_lowrank,
+    penalized_solve,
     regression_query,
     spline_query,
     statistical_dimension,
@@ -266,3 +278,88 @@ class TestLowRank:
             A = kron_chain(factors)
             hits += np.linalg.norm(C - A) <= 1.5 * exact_lowrank(factors, 2)
         assert hits >= 18
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except (ConfigurationError, DimensionError, RegularizationError) as err:
+        return type(err)
+
+
+def assert_solves_agree(got, ref, A, y, identity):
+    """x from the frame against x from the time-domain root: bit for bit in
+    the identity frame; otherwise within a rounding bound of least squares
+    under an orthogonal change of frame,
+    2^10 eps (kappa ||x|| + kappa^2 ||A x - y|| / s_max),
+    where the minimum-norm answer is well defined (kappa < 1e8)."""
+    if identity:
+        assert got is ref or np.array_equal(got, ref)
+        return
+    s = np.linalg.svd(A, compute_uv=False)
+    kappa = s[0] / s[-1] if s[-1] > 0 else math.inf
+    if kappa >= 1e8:
+        return
+    assert not isinstance(got, type) and not isinstance(ref, type)
+    residual = np.linalg.norm(A @ ref - y)
+    bound = 2**10 * EPS * (kappa * np.linalg.norm(ref) + kappa**2 * residual / s[0])
+    assert np.linalg.norm(got - ref) <= bound
+
+
+class TestRootFrame:
+    """Solvers read the root frame (R, Q b_sketch); a solve on (tree.root,
+    b_sketch) is the reference."""
+
+    @given(
+        pair=st.sampled_from(list(itertools.product(BaseFamily, TensorFamily))),
+        q=st.integers(1, 6),
+        m=st.sampled_from([1, 2, 7, 8, 64]),
+        adaptive=st.booleans(),
+        seed=st.integers(0, 2**32),
+        lam=st.sampled_from([0.0, 0.5]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_solvers_match_the_time_domain_root(self, pair, q, m, adaptive, seed, lam):
+        rng = np.random.default_rng(seed)
+        factors = [
+            rng.standard_normal((int(rng.integers(2, 5)), int(rng.integers(1, 3))))
+            for _ in range(q)
+        ]
+        tree = TensorTree(factors, TreeConfig(*pair, m=m, adaptive=adaptive, seed=seed))
+        if adaptive:
+            tree.update_adaptive(q - 1, rng.standard_normal(factors[-1].shape))
+        M, b = tree.root, rng.standard_normal(m)
+        d = M.shape[1]
+        identity = q == 1 or pair[1] is TensorFamily.TENSOR_SRHT
+
+        x = outcome(regression_query, tree, b)
+        if m < d:
+            assert x is ConfigurationError
+        else:
+            assert_solves_agree(x, least_squares(M, b).x, M, b, identity)
+
+        spline = SplineSpec(rng.standard_normal((int(rng.integers(1, d + 1)), d)), lam)
+        x = outcome(spline_query, tree, b, spline)
+        ref = outcome(penalized_solve, M, b, spline)
+        stacked = np.vstack([M, math.sqrt(lam) * spline.L])
+        y = np.concatenate([b, np.zeros(spline.p)])
+        if stacked.shape[0] < d:
+            assert x is ref is DimensionError
+        else:
+            assert_solves_agree(x, ref, stacked, y, identity)
+
+        # the top-k projector moves by rounding over the singular-value gap
+        k = int(rng.integers(1, min(m, d) + 1))
+        P = lowrank_query(tree, k).Uk
+        _, s, V = thin_svd(M)
+        ref = V[:, :k].T
+        if identity:
+            assert np.array_equal(P, ref)
+        else:
+            gap = s[k - 1] - (s[k] if k < s.size else 0.0)
+            if gap > 1e-8 * s[0]:
+                assert np.linalg.norm(P.T @ P - ref.T @ ref) <= 2**10 * EPS * s[0] / gap

@@ -1,4 +1,7 @@
+import itertools
 import struct
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -20,7 +23,10 @@ from kronsketch.sketches import (
     base_columns,
     choose_m,
     materialize,
+    to_frame,
 )
+from kronsketch import solvers
+from kronsketch import tree as tree_module
 from kronsketch.tree import _HEADER, SNAPSHOT_MAGIC, TensorTree, TreeConfig, _draw_seed, _fold
 
 RNG = np.random.default_rng(314)
@@ -369,6 +375,141 @@ class TestFailedUpdate:
         # the tree still works: a finite update lands as usual
         tree.update(i, rng.standard_normal((2, 2)))
         check_nodes_exact(tree)
+
+    @pytest.mark.parametrize("pair", FAMILY_PAIRS)
+    def test_frame_column_norm_boundary(self, pair):
+        # a root frame whose largest column norm sits just under
+        # float max / (2 m) commits, and its time-domain root finishes
+        # finite; just over, the update raises and changes nothing
+        rng = np.random.default_rng(44)
+        m = 8
+        tree = TensorTree(
+            [rng.standard_normal((3, 2)) for _ in range(3)], TreeConfig(*pair, m=m, seed=44)
+        )
+        limit = np.finfo(np.float64).max / (2 * m)
+        scale = limit / np.linalg.norm(tree.frame()[0], axis=0).max()
+        A = tree.factors[0]
+        before = tree_state(tree)
+        with pytest.raises(ValueError, match="column norm"):
+            tree.update(0, (scale * (1 + 1e-6) - 1) * A)
+        assert_same_state(before, tree_state(tree))
+        tree.update(0, (scale * (1 - 1e-6) - 1) * A)
+        R = tree.frame()[0]
+        peak = np.abs(R).max()
+        assert 0.999 * limit < peak * np.linalg.norm(R / peak, axis=0).max() <= limit
+        assert np.isfinite(tree.root).all()
+        check_nodes_exact(tree)
+
+
+class TestRootFrame:
+    """The root kept in its orthonormal frame R = Q M, and M finished on read."""
+
+    @given(
+        pair=st.sampled_from(list(itertools.product(BaseFamily, TensorFamily))),
+        q=st.integers(1, 6),
+        m=st.sampled_from([1, 2, 7, 8, 64]),
+        adaptive=st.booleans(),
+        seed=st.integers(0, 2**32),
+        steps=st.lists(st.integers(0, 2**16), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_frame_is_a_rotation_of_the_root(self, pair, q, m, adaptive, seed, steps, tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        factors = [
+            rng.standard_normal((int(rng.integers(2, 5)), int(rng.integers(1, 3))))
+            for _ in range(q)
+        ]
+        cfg = TreeConfig(*pair, m=m, adaptive=adaptive, seed=seed)
+        tree = TensorTree(factors, cfg)
+        for step in steps:
+            i = step % q
+            (tree.update_adaptive if adaptive else tree.update)(i, rng.standard_normal(factors[i].shape))
+        R, _ = tree.frame()
+        M = tree.root
+        # Q is orthogonal: the Gram matrices agree, and R is Q M column by column
+        gram = M.T @ M
+        assert np.linalg.norm(R.T @ R - gram) <= 1e-13 * np.linalg.norm(gram)
+        QM = to_frame(tree.node_specs.get((tree.depth, 0)), M)
+        assert np.linalg.norm(R - QM) <= 1e-13 * np.linalg.norm(M)
+        if q == 1 or pair[1] is TensorFamily.TENSOR_SRHT:
+            assert R is M  # the identity frame
+        # the finished levels are the nodes of a fresh build, bit for bit
+        if adaptive:
+            path = tmp_path_factory.mktemp("frame") / "tree.kttr"
+            tree.save(path)
+            fresh = TensorTree.load(path)
+        else:
+            fresh = TensorTree([f.copy() for f in tree.factors], cfg)
+        for la, lb in zip(tree.levels, fresh.levels, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(la, lb, strict=True))
+        check_nodes_exact(tree)
+
+    def test_queries_never_finish_the_root(self, monkeypatch):
+        pairs, finishes = [], []
+        pair_nodes, irfft = tree_module.apply_tensor_pair, np.fft.irfft
+
+        def counted_pair(*args, **kwargs):
+            pairs.append(kwargs.get("frame", False))
+            return pair_nodes(*args, **kwargs)
+
+        def counted_irfft(*args, **kwargs):
+            finishes.append(1)
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "apply_tensor_pair", counted_pair)
+        monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+        rng = np.random.default_rng(12)
+        factors = [rng.standard_normal((6, 2)) for _ in range(4)]
+        tree = TensorTree(factors, TreeConfig(m=32, seed=12))
+        b_sketch = tree.sketch_vector(rng.standard_normal(6**4))
+        pairs.clear()
+        finishes.clear()
+        tree.update(1, rng.standard_normal((6, 2)))
+        # the level-1 node is finished in the time domain, the root is not
+        assert pairs == [False, True] and len(finishes) == 1
+        pairs.clear()
+        finishes.clear()
+        solvers.regression_query(tree, b_sketch)
+        solvers.spline_query(tree, b_sketch, solvers.SplineSpec(np.eye(16), 0.5))
+        solvers.lowrank_query(tree, 3)
+        assert tree.depth == 2 and tree.node_count == 7
+        assert pairs == [] and finishes == []
+        # a read of the root finishes it once, from the stored children
+        root = tree.root
+        assert pairs == [False] and len(finishes) == 1
+        assert tree.levels[-1][0] is root and tree.root is root
+        assert len(pairs) == 1
+        assert np.array_equal(root, pair_nodes(tree.node_specs[2, 0], *tree.levels[1]))
+
+    def test_concurrent_readers_finish_one_root(self):
+        # single writer, many readers: readers that all find the root
+        # unfinished all compute it, identically, so any one may be kept
+        rng = np.random.default_rng(13)
+        tree = TensorTree([rng.standard_normal((64, 3)) for _ in range(4)], TreeConfig(m=256, seed=13))
+        readers = 4  # more than the cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(5):
+                tree.update(trial % 4, rng.standard_normal((64, 3)))
+                start = threading.Barrier(readers, timeout=30)
+                seen = [None] * readers
+
+                def read(k):
+                    start.wait()
+                    seen[k] = tree.root
+
+                threads = [threading.Thread(target=read, args=(k,)) for k in range(readers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert all(np.array_equal(seen[0], got) for got in seen[1:])
+                assert np.array_equal(tree.root, seen[0])
+                check_nodes_exact(tree)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def folded_label(tree, sv):
