@@ -2,9 +2,10 @@
 """Time and count minor page faults of label sketches, one fresh process per family pair.
 
 For each family pair whose labels fold dense column chunks (OSNAP/TensorSRHT,
-SRHT/TensorSRHT, OSNAP/TensorSketch) a new Python process builds a static
-tree at q = 4, 4096 x 3 factors, m = 1024, and sketches one 1000-nonzero
-label several times. Each call prints its wall time and the minor faults
+SRHT/TensorSRHT, OSNAP/TensorSketch), and for CountSketch/TensorSketch, whose
+labels collapse to one bincount, a new Python process builds a static tree at
+q = 4, 4096 x 3 factors, m = 1024, and sketches one 1000-nonzero label
+several times. Each call prints its wall time and the minor faults
 ``getrusage(RUSAGE_SELF).ru_minflt`` counted across it. A fresh process
 matters: how often freed blocks are faulted in again depends on the heap's
 history (glibc's dynamic mmap and trim thresholds). Usage:
@@ -21,7 +22,12 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-PAIRS = [("osnap", "tensorsrht"), ("srht", "tensorsrht"), ("osnap", "tensorsketch")]
+PAIRS = [
+    ("osnap", "tensorsrht"),
+    ("srht", "tensorsrht"),
+    ("osnap", "tensorsketch"),
+    ("countsketch", "tensorsketch"),
+]
 Q, N_I, D_I, M, NNZ = 4, 4096, 3, 1024, 1000
 
 
@@ -46,7 +52,7 @@ def child(c_family: str, t_family: str, calls: int) -> None:
         tree.sketch_vector(b)
         ms = (time.perf_counter() - t0) * 1e3
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        print(f"{c_family}/{t_family} call {call}: {ms:.1f} ms, {faults} minor faults")
+        print(f"{c_family}/{t_family} call {call}: {ms:.3f} ms, {faults} minor faults")
 
 
 def main():

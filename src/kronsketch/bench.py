@@ -192,9 +192,12 @@ def parse_stream(path) -> list[tuple]:
     events: list[tuple] = []
     offset = 0
     for raw_line in path.read_bytes().splitlines(keepends=True):
-        line = raw_line.decode().strip()
         line_off = offset
         offset += len(raw_line)
+        try:
+            line = raw_line.decode().strip()
+        except UnicodeDecodeError:
+            raise ParseError("stream line is not UTF-8", line_off) from None
         if not line or line.startswith("#"):
             continue
         parts = line.split()

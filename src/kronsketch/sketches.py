@@ -31,6 +31,7 @@ forming the long vector:
   The outputs also have an orthonormal real-Fourier frame (``to_frame``):
   the weighted real and imaginary parts of their rfft, which the pair
   combine gives straight from the side products, with no inverse transform.
+  A tree keeps its TensorSketch root in that frame.
 * TensorSRHT: per output row r, the product of one coordinate of H D1 u and
   one of H D2 v (H the unnormalized +-1 Hadamard matrix on the padded
   side, applied by the same GEMMs), scaled by 1/sqrt(m_out). A column's

@@ -1,15 +1,15 @@
 """Query pipelines over a sketched Kronecker product tree.
 
 All three solvers read the tree's root in its orthonormal frame, R = Q M
-(m x d, ``TensorTree.frame``), and never touch the full design matrix or
+(m x d, ``TensorTree.root``), and never touch the full design matrix or
 the time-domain root M: regression solves the sketched least squares,
 spline regression solves the sketched penalized problem, both with the
-label rotated by the same Q, and low-rank approximation takes top right
-singular vectors of R. Q is orthogonal, so each answer is the one M would
-give, up to rounding (bit for bit where Q is the identity: TensorSRHT roots
-and one-leaf trees). Everything here is read-only with respect to the tree
-and safe to run concurrently with other reads, never concurrently with an
-update.
+label rotated by the same Q (``TensorTree.frame``), and low-rank
+approximation takes top right singular vectors of R. Q is orthogonal, so
+each answer is the one M would give, up to rounding (bit for bit where Q is
+the identity: TensorSRHT roots and one-leaf trees). Everything here is
+read-only with respect to the tree and safe to run concurrently with other
+reads, never concurrently with an update.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def regression_query(tree: TensorTree, b_sketch) -> np.ndarray:
     Solves the sketched problem min_x ||M x - b_sketch|| at the root, as
     min_x ||R x - Q b_sketch|| in the root's frame.
     """
-    R, y = tree.frame(b_sketch)
+    R, y = tree.root, tree.frame(b_sketch)
     if R.shape[0] < R.shape[1]:
         raise ConfigurationError(
             f"sketching dimension {R.shape[0]} cannot embed a "
@@ -108,7 +108,7 @@ def penalized_solve(M, y, spline: SplineSpec) -> np.ndarray:
 def spline_query(tree: TensorTree, b_sketch, spline: SplineSpec) -> np.ndarray:
     """Approximate minimizer of ||A x - b||^2 + lam ||L x||^2: the
     penalized problem on the root and the sketched label, in the root's frame."""
-    return penalized_solve(*tree.frame(b_sketch), spline)
+    return penalized_solve(tree.root, tree.frame(b_sketch), spline)
 
 
 def statistical_dimension(A, spline: SplineSpec) -> float:
@@ -161,7 +161,7 @@ def lowrank_query(tree: TensorTree, k: int) -> LowRankResult:
     its frame R); the result represents (kron of factors) @ Uk.T @ Uk
     without forming it.
     """
-    R, _ = tree.frame()
+    R = tree.root
     d = R.shape[1]
     if not 1 <= k <= d:
         raise ValueError(f"rank k={k} out of range [1, {d}]")

@@ -7,22 +7,21 @@ of its two children, computed column-pair-wise so the product itself is
 never formed. When a level has an odd node count, the rightmost node is
 promoted unchanged (order-preserving, so the implied composite sketch is
 still a linear map on the full Kronecker ordering). The root is an m x d
-sketch M of the whole chain, d being the product of the factor column counts.
+sketch of the whole chain, d being the product of the factor column counts.
 
-A TensorSketch root is stored in its real-Fourier frame R = Q M, Q
-orthogonal (``sketches.to_frame``), built from the root's two side
-transforms with no inverse rfft. Least squares, penalized least squares and
-right singular vectors are the same on (R, Q b) as on (M, b), so solvers
-read ``frame`` and never need M. M is computed only when ``root`` or
-``levels`` is read, by the same ``apply_tensor_pair`` call on the stored
-children as a fresh build, and kept until the next update. TensorSRHT roots
-and one-leaf trees use the identity frame: R is the root.
+The root is given in its spec's orthonormal output frame Q
+(``sketches.to_frame``): a TensorSketch root is Q M, M the pair's
+time-domain sketch, built from its two side transforms with no inverse rfft,
+so no update runs the root's irfft. Least squares, penalized least squares
+and right singular vectors are the same on (Q M, Q b) as on (M, b), so
+solvers read ``root`` and rotate the label sketch with ``frame``. Label
+sketches (``sketch_vector``) and ``materialize_sketch`` stay in the time
+domain. TensorSRHT roots and one-leaf trees have the identity frame.
 
 Updating factor i re-sketches leaf i and recomputes each node above it from
 its two children, keeping every other node, so each node is always what a
 fresh build computes from its spec and children. Nothing is committed until
-the new root passes ``_check_frame``: an update that raises leaves the tree
-as it was.
+the new root is finite: an update that raises leaves the tree as it was.
 
 A build gives its 2q - 1 specs the draw indices 0..2q-2 (``_draw_seed``).
 In adaptive mode an update first redraws the specs on that path under the
@@ -32,14 +31,13 @@ map, so that callers can invalidate anything they sketched earlier (for
 example a label vector).
 
 A tree is single-writer: updates need exclusive access, while any number of
-threads may read (root, levels, frame, sketch_vector, queries) between
-updates. Two readers that both find M not yet computed both compute it; the
-arrays are identical and either may be kept, so that race is benign.
+threads may read (root, sketch_vector, queries) between updates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -78,8 +76,6 @@ _HEADER = "<BBQBQQQ"  # c code, t code, m, adaptive, seed, generation, q
 _BASE_CODES = {f: i for i, f in enumerate(BaseFamily)}
 _TENSOR_CODES = {f: i for i, f in enumerate(TensorFamily)}
 
-_FLOAT_MAX = float(np.finfo(np.float64).max)
-
 
 @dataclass(frozen=True)
 class TreeConfig:
@@ -94,6 +90,10 @@ class TreeConfig:
     def __post_init__(self):
         object.__setattr__(self, "c_family", BaseFamily(self.c_family))
         object.__setattr__(self, "t_family", TensorFamily(self.t_family))
+        try:
+            object.__setattr__(self, "m", operator.index(self.m))
+        except TypeError:
+            raise ConfigurationError(f"m must be an integer, got {self.m!r}") from None
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         _check_seed(self.seed)
@@ -125,20 +125,6 @@ def _fold(nodes, combine):
         yield nodes
 
 
-def _check_frame(R: np.ndarray) -> None:
-    """Raise ValueError unless every column of the m x d root frame R has a
-    finite norm of at most ``_FLOAT_MAX / (2 m)`` (see ``_refold``)."""
-    m = R.shape[0]
-    limit = _FLOAT_MAX / (2 * m)
-    peak = max(float(R.max()), -float(R.min()))
-    if peak * math.sqrt(m) <= limit:  # no column norm can pass sqrt(m) peak
-        return
-    if not (math.isfinite(peak) and peak * np.linalg.norm(R / peak, axis=0).max() <= limit):
-        raise ValueError(
-            f"root sketch has non-finite entries or a column norm past {limit:.3g}"
-        )
-
-
 def _node_keys(q: int) -> list[tuple[int, int]]:
     """(level, k) of every paired node of a q-leaf tree, level by level, left to right."""
     keys = []
@@ -152,6 +138,8 @@ class TensorTree:
 
     Factor matrices are stored in full: an update re-sketches the updated
     factor, and the factored low-rank output hands them back to the caller.
+    ``levels`` holds the node matrices level by level, leaves first, the root
+    last; treat it as read-only.
     """
 
     def __init__(self, factors, config: TreeConfig):
@@ -186,48 +174,32 @@ class TensorTree:
     @property
     def depth(self) -> int:
         """Number of levels above the leaves, ceil(log2 q)."""
-        return len(self._levels) - 1
-
-    @property
-    def levels(self) -> list[list[np.ndarray]]:
-        """Node matrices level by level, leaves first, the root M last (computed
-        here if not yet, see ``root``). Treat as read-only."""
-        levels = self._levels
-        if levels[-1][0] is None:
-            levels[-1][0] = self._pair_nodes((len(levels) - 1, 0), *levels[-2])
-        return levels
+        return len(self.levels) - 1
 
     @property
     def root(self) -> np.ndarray:
-        """Top node M, an m x d matrix. Treat as read-only.
-
-        A TensorSketch root is computed from its stored children on the first
-        read after a build or update, bit for bit what a fresh build holds,
-        and kept until the next update. Queries read ``frame`` instead.
-        """
+        """Top node, an m x d matrix in its frame: Q M for a TensorSketch root.
+        Treat as read-only."""
         return self.levels[-1][0]
 
-    def frame(self, b_sketch=None) -> tuple[np.ndarray, np.ndarray | None]:
-        """(R, Q b_sketch): the root in its orthonormal frame, R = Q M, and the
-        sketched label in it (None without a label).
+    def frame(self, b_sketch) -> np.ndarray:
+        """Q b_sketch: a label sketch rotated into the root's frame.
 
-        A least-squares, penalized or low-rank solve on (R, Q b_sketch) has the
-        answer of one on (M, b_sketch) up to rounding. R is stored; Q b_sketch
-        costs one rfft, or nothing where Q is the identity. A label whose
-        length is not m raises DimensionError.
+        A least-squares or penalized solve on (root, Q b_sketch) has the
+        answer of one on (M, b_sketch) up to rounding. The rotation costs one
+        rfft, or nothing where Q is the identity. A label whose length is not
+        m raises DimensionError.
         """
-        if b_sketch is None:
-            return self._frame, None
         b_sketch = as_vector(b_sketch)
         if b_sketch.size != self.config.m:
             raise DimensionError(
                 f"sketched label length {b_sketch.size} != m {self.config.m}"
             )
-        return self._frame, to_frame(self.node_specs.get((self.depth, 0)), b_sketch)
+        return to_frame(self.node_specs.get((self.depth, 0)), b_sketch)
 
     @property
     def node_count(self) -> int:
-        return sum(len(level) for level in self._levels)
+        return sum(len(level) for level in self.levels)
 
     # ------------------------------------------------------------------
     # spec drawing
@@ -254,22 +226,9 @@ class TensorTree:
 
     def _refold(self, dirty, factors, leaf_specs, node_specs) -> None:
         """Recompute the ``dirty`` leaves and the nodes above them, reusing the rest,
-        and store the result only once the new root passes ``_check_frame``.
-
-        The root is computed in its frame R, and a TensorSketch root's M waits
-        for a read of ``levels``. A finite R does not make that finish safe:
-        its inverse rfft can overflow near 1.8e308 where R and M do not (a
-        constant column of norm r has a DC bin of sqrt(m) r, and the
-        unnormalised inverse holds m times M before its 1/m scaling). So the
-        check is tighter. Q is orthogonal, so R[:, j] and M[:, j] share a norm,
-        and every value of the finish (bin products P, radix passes, unscaled
-        sums) is a partial sum of the full spectrum, at most sum_f |P_f| <=
-        m ||M[:, j]||: column norms of at most float max / (2 m) keep it
-        finite, with a factor 2 for rounding. The side transforms are the
-        frame's own, finite once R is.
-        """
+        and store the result only once the new root is known to be finite."""
         leaves = [
-            apply_base(leaf_specs[i], f) if i in dirty else self._levels[0][i]
+            apply_base(leaf_specs[i], f) if i in dirty else self.levels[0][i]
             for i, f in enumerate(factors)
         ]
 
@@ -281,16 +240,13 @@ class TensorTree:
             if key in above:
                 return apply_tensor_pair(node_specs[key], left, right, frame=key == (depth, 0))
             level, k = key
-            return self._levels[level][k]
+            return self.levels[level][k]
 
         levels = [leaves, *_fold(leaves, combine)]
-        frame = levels[-1][0]
-        _check_frame(frame)
-        root_spec = node_specs.get((depth, 0))
-        if root_spec is not None and root_spec.family is TensorFamily.TENSOR_SKETCH:
-            levels[-1] = [None]  # M, computed by ``levels`` when read
+        if not np.isfinite(levels[-1][0]).all():
+            raise ValueError("root sketch has non-finite entries")
         self.factors, self.leaf_specs, self.node_specs = factors, leaf_specs, node_specs
-        self._levels, self._frame = levels, frame
+        self.levels = levels
 
     def _pair_nodes(self, key, left, right) -> np.ndarray:
         return apply_tensor_pair(self.node_specs[key], left, right)
@@ -315,7 +271,7 @@ class TensorTree:
         """Apply A_i <- A_i + B, keeping every spec: the nodes then equal a fresh
         build's under those specs, or this raises and changes nothing."""
         self._refold({i}, self._updated_factors(i, B), self.leaf_specs, self.node_specs)
-        self.recompute_counter = len(self._levels)
+        self.recompute_counter = len(self.levels)
 
     def update_adaptive(self, i: int, B) -> None:
         """Apply A_i <- A_i + B with fresh sketches along the path.
@@ -345,7 +301,7 @@ class TensorTree:
             raise ValueError(f"spec draw index {k} does not fit in 64 bits")
         self._refold({i}, factors, leaf_specs, node_specs)
         self.draws = draws
-        self.recompute_counter = len(self._levels)
+        self.recompute_counter = len(self.levels)
         self.generation += 1
 
     # ------------------------------------------------------------------
@@ -466,6 +422,8 @@ class TensorTree:
         cb, tb, m, adaptive, seed, generation, q = take(_HEADER)
         if cb >= len(BaseFamily) or tb >= len(TensorFamily):
             raise ValueError(f"unknown sketch family codes {cb}, {tb} in tree snapshot")
+        if adaptive > 1:
+            raise ValueError(f"adaptive flag {adaptive} in tree snapshot is not 0 or 1")
         config = TreeConfig(
             list(BaseFamily)[cb], list(TensorFamily)[tb], m, bool(adaptive), seed
         )

@@ -27,6 +27,7 @@ from kronsketch.sketches import (
     apply_tensor_pair,
     choose_m,
     materialize,
+    to_frame,
 )
 from kronsketch.solvers import (
     SplineSpec,
@@ -320,9 +321,10 @@ def test_criterion_8_sketch_vs_materialization():
             cfg = TreeConfig(pair[0], pair[1], 8, seed=880 + q)
             tree = TensorTree(factors, cfg)
             Pi = tree.materialize_sketch()
+            root_spec = tree.node_specs.get((tree.depth, 0))  # the root is in its frame
             worst = max(
                 worst,
-                np.abs(Pi @ kron_chain(factors) - tree.root).max(),
+                np.abs(to_frame(root_spec, Pi @ kron_chain(factors)) - tree.root).max(),
             )
             b = rng.standard_normal(4**q)
             worst = max(worst, np.abs(tree.sketch_vector(b) - Pi @ b).max())

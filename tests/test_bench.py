@@ -156,6 +156,13 @@ class TestStreamFormat:
         with pytest.raises(ParseError, match="1-based"):
             parse_stream(p)
 
+    def test_non_utf8_line_rejected(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"Q\n\xff\xfe\n")
+        with pytest.raises(ParseError, match="not UTF-8") as excinfo:
+            parse_stream(p)
+        assert excinfo.value.offset == 2
+
 
 @pytest.fixture
 def scenario_files(tmp_path):

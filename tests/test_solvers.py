@@ -13,7 +13,12 @@ from kronsketch.linalg import (
     least_squares,
     thin_svd,
 )
-from kronsketch.sketches import BaseFamily, ConfigurationError, TensorFamily
+from kronsketch.sketches import (
+    BaseFamily,
+    ConfigurationError,
+    TensorFamily,
+    apply_tensor_pair,
+)
 from kronsketch.solvers import (
     SplineSpec,
     lowrank_query,
@@ -117,7 +122,7 @@ class TestSplineQuery:
         b = RNG.standard_normal(36)
         bs = tree.sketch_vector(b)
         x = spline_query(tree, bs, SplineSpec(np.eye(4), 1e12))
-        m_t_b = np.linalg.norm(tree.root.T @ bs)
+        m_t_b = np.linalg.norm(tree.root.T @ tree.frame(bs))
         assert np.linalg.norm(x) <= 1e-6 * m_t_b
 
     def test_matches_normal_equation_form(self):
@@ -129,7 +134,7 @@ class TestSplineQuery:
         lam = 0.7
         x = spline_query(tree, bs, SplineSpec(L, lam))
         M = tree.root
-        closed = np.linalg.solve(M.T @ M + lam * L.T @ L, M.T @ bs)
+        closed = np.linalg.solve(M.T @ M + lam * L.T @ L, M.T @ tree.frame(bs))
         assert np.allclose(x, closed, atol=1e-8 * max(1.0, np.linalg.norm(closed)))
 
     def test_singular_normal_matrix_rejected(self):
@@ -311,8 +316,8 @@ def assert_solves_agree(got, ref, A, y, identity):
 
 
 class TestRootFrame:
-    """Solvers read the root frame (R, Q b_sketch); a solve on (tree.root,
-    b_sketch) is the reference."""
+    """Solvers read the root R = Q M and rotate the label sketch b by Q; a
+    solve on the time-domain root M and b is the reference."""
 
     @given(
         pair=st.sampled_from(list(itertools.product(BaseFamily, TensorFamily))),
@@ -332,7 +337,9 @@ class TestRootFrame:
         tree = TensorTree(factors, TreeConfig(*pair, m=m, adaptive=adaptive, seed=seed))
         if adaptive:
             tree.update_adaptive(q - 1, rng.standard_normal(factors[-1].shape))
-        M, b = tree.root, rng.standard_normal(m)
+        spec = tree.node_specs.get((tree.depth, 0))
+        M = tree.root if spec is None else apply_tensor_pair(spec, *tree.levels[-2])
+        b = rng.standard_normal(m)
         d = M.shape[1]
         identity = q == 1 or pair[1] is TensorFamily.TENSOR_SRHT
 

@@ -1,7 +1,5 @@
 import itertools
 import struct
-import sys
-import threading
 import tracemalloc
 import weakref
 
@@ -10,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kronsketch.linalg import DimensionError, SparseVector, kron, kron_chain
+from kronsketch.linalg import DimensionError, RegularizationError, SparseVector, kron, kron_chain
 from kronsketch.sketches import (
     BaseFamily,
     ConfigurationError,
@@ -62,7 +60,8 @@ def check_node_invariants(tree, tol=1e-10):
             spec = tree.node_specs.get((level, k))
             if spec is not None:
                 expected = apply_tensor_pair(
-                    spec, tree.levels[level - 1][2 * k], tree.levels[level - 1][2 * k + 1]
+                    spec, tree.levels[level - 1][2 * k], tree.levels[level - 1][2 * k + 1],
+                    frame=level == tree.depth,
                 )
                 scale = max(1.0, np.abs(expected).max())
                 assert np.allclose(tree.levels[level][k], expected, atol=tol * scale)
@@ -73,14 +72,18 @@ def check_node_invariants(tree, tol=1e-10):
 
 
 def check_nodes_exact(tree):
-    """Every node is bit for bit the sketch of its stored spec and children."""
+    """Every node is bit for bit the sketch of its stored spec and children,
+    the root in its frame."""
     for i, (spec, f) in enumerate(zip(tree.leaf_specs, tree.factors)):
         assert np.array_equal(tree.levels[0][i], apply_base(spec, f))
     for level in range(1, len(tree.levels)):
         for k, node in enumerate(tree.levels[level]):
             children = tree.levels[level - 1][2 * k:2 * k + 2]
             spec = tree.node_specs.get((level, k))
-            expected = children[0] if spec is None else apply_tensor_pair(spec, *children)
+            if spec is None:
+                expected = children[0]
+            else:
+                expected = apply_tensor_pair(spec, *children, frame=level == tree.depth)
             assert np.array_equal(node, expected)
 
 
@@ -121,7 +124,7 @@ class TestInitialize:
         C1 = materialize(tree.leaf_specs[0])
         C2 = materialize(tree.leaf_specs[1])
         T = materialize(tree.node_specs[(1, 0)])
-        expected = (T @ kron(C1, C2)).reshape(6, 4)
+        expected = to_frame(tree.node_specs[1, 0], T @ kron(C1, C2))
         assert np.allclose(tree.root, expected, atol=1e-10)
 
     def test_root_shape(self):
@@ -145,6 +148,14 @@ class TestInitialize:
             TreeConfig(seed=-1)
         with pytest.raises(ValueError):
             TreeConfig(seed=1 << 64)
+
+    @pytest.mark.parametrize("m", [2.5, 64.0, "64", None])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(ConfigurationError, match="m must be an integer"):
+            TreeConfig(m=m)
+
+    def test_integer_m_kept_as_int(self):
+        assert type(TreeConfig(m=np.int64(8)).m) is int
 
     def test_column_blowup_rejected(self):
         factors = [np.ones((2, 64)) for _ in range(8)]  # d = 64^8
@@ -345,15 +356,22 @@ class TestFailedUpdate:
 
     @staticmethod
     def _overflow(tree, case, i):
-        if case == "big":
-            return np.full(tree.factors[i].shape, 1.7e308)
-        # m = 1: the leaf sums its rows with the signs of the leaf spec that
-        # the update will use, so sign-aligned rows add up past float range
+        # rows signed so that a sum the update runs adds them all, past float
+        # range, under the specs the update will use
         spec = tree.leaf_specs[i]
         if tree.config.adaptive:
             spec = tree._leaf_spec(spec.input_dim, max(tree.draws) + 1)
-        signs = base_columns(spec, np.arange(spec.input_dim))[0]
-        return 1.7e308 * signs[:, None] * np.ones(tree.factors[i].shape)
+        signs = base_columns(spec, np.arange(spec.input_dim))
+        if case == "big":
+            # m = 8, q = 3, i = 1: leaf 1 is the right side of node (1, 0),
+            # whose count sketch of it keeps every row one-hot; the sum is
+            # the DC bin of that side's rfft
+            node = tree.node_specs[1, 0]
+            if tree.config.adaptive:
+                node = tree._node_spec(max(tree.draws) + 2)
+            signs = _tensor_internals(node)[1] @ signs
+        # m = 1 ("aligned"): the sum is the leaf's single row
+        return 1.7e308 * signs.sum(axis=0)[:, None] * np.ones(tree.factors[i].shape)
 
     @pytest.mark.parametrize("adaptive", [False, True])
     @pytest.mark.parametrize(
@@ -378,31 +396,35 @@ class TestFailedUpdate:
 
     @pytest.mark.parametrize("pair", FAMILY_PAIRS)
     def test_frame_column_norm_boundary(self, pair):
-        # a root frame whose largest column norm sits just under
-        # float max / (2 m) commits, and its time-domain root finishes
-        # finite; just over, the update raises and changes nothing
+        # no irfft of the root is ever run, so a finite root commits whatever
+        # its column norms: here one past float max / (2 m), the bound that
+        # such an irfft needed, and the queries on it stay finite or flagged
         rng = np.random.default_rng(44)
         m = 8
         tree = TensorTree(
             [rng.standard_normal((3, 2)) for _ in range(3)], TreeConfig(*pair, m=m, seed=44)
         )
         limit = np.finfo(np.float64).max / (2 * m)
-        scale = limit / np.linalg.norm(tree.frame()[0], axis=0).max()
-        A = tree.factors[0]
-        before = tree_state(tree)
-        with pytest.raises(ValueError, match="column norm"):
-            tree.update(0, (scale * (1 + 1e-6) - 1) * A)
-        assert_same_state(before, tree_state(tree))
-        tree.update(0, (scale * (1 - 1e-6) - 1) * A)
-        R = tree.frame()[0]
-        peak = np.abs(R).max()
-        assert 0.999 * limit < peak * np.linalg.norm(R / peak, axis=0).max() <= limit
-        assert np.isfinite(tree.root).all()
+        scale = 4 * limit / np.linalg.norm(tree.root, axis=0).max()
+        tree.update(0, (scale - 1) * tree.factors[0])
+        root = tree.root
+        peak = np.abs(root).max()
+        assert np.isfinite(root).all()
+        assert 2 * limit < peak * np.linalg.norm(root / peak, axis=0).max()
         check_nodes_exact(tree)
+        b_sketch = tree.sketch_vector(rng.standard_normal(27))
+        assert np.isfinite(solvers.regression_query(tree, b_sketch)).all()
+        assert np.isfinite(solvers.lowrank_query(tree, 2).Uk).all()
+        try:
+            x = solvers.spline_query(tree, b_sketch, solvers.SplineSpec(np.eye(8), 0.5))
+        except RegularizationError:
+            pass
+        else:
+            assert np.isfinite(x).all()
 
 
 class TestRootFrame:
-    """The root kept in its orthonormal frame R = Q M, and M finished on read."""
+    """The root kept in its orthonormal frame, Q M for a TensorSketch root."""
 
     @given(
         pair=st.sampled_from(list(itertools.product(BaseFamily, TensorFamily))),
@@ -424,16 +446,16 @@ class TestRootFrame:
         for step in steps:
             i = step % q
             (tree.update_adaptive if adaptive else tree.update)(i, rng.standard_normal(factors[i].shape))
-        R, _ = tree.frame()
-        M = tree.root
+        R = tree.root
+        spec = tree.node_specs.get((tree.depth, 0))
+        M = R if spec is None else apply_tensor_pair(spec, *tree.levels[-2])
         # Q is orthogonal: the Gram matrices agree, and R is Q M column by column
         gram = M.T @ M
         assert np.linalg.norm(R.T @ R - gram) <= 1e-13 * np.linalg.norm(gram)
-        QM = to_frame(tree.node_specs.get((tree.depth, 0)), M)
-        assert np.linalg.norm(R - QM) <= 1e-13 * np.linalg.norm(M)
+        assert np.linalg.norm(R - to_frame(spec, M)) <= 1e-13 * np.linalg.norm(M)
         if q == 1 or pair[1] is TensorFamily.TENSOR_SRHT:
-            assert R is M  # the identity frame
-        # the finished levels are the nodes of a fresh build, bit for bit
+            assert np.array_equal(R, M)  # the identity frame
+        # the levels are the nodes of a fresh build, bit for bit
         if adaptive:
             path = tmp_path_factory.mktemp("frame") / "tree.kttr"
             tree.save(path)
@@ -445,71 +467,43 @@ class TestRootFrame:
         check_nodes_exact(tree)
 
     def test_queries_never_finish_the_root(self, monkeypatch):
-        pairs, finishes = [], []
-        pair_nodes, irfft = tree_module.apply_tensor_pair, np.fft.irfft
+        # no update or query runs the root's irfft; a query's only transform
+        # is the rotation of its label into the root's frame
+        pairs, ffts = [], []
+        pair_nodes, rfft, irfft = tree_module.apply_tensor_pair, np.fft.rfft, np.fft.irfft
 
         def counted_pair(*args, **kwargs):
             pairs.append(kwargs.get("frame", False))
             return pair_nodes(*args, **kwargs)
 
-        def counted_irfft(*args, **kwargs):
-            finishes.append(1)
-            return irfft(*args, **kwargs)
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                ffts.append(name)
+                return fn(*args, **kwargs)
+            return call
 
         monkeypatch.setattr(tree_module, "apply_tensor_pair", counted_pair)
-        monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+        monkeypatch.setattr(np.fft, "rfft", counted("rfft", rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted("irfft", irfft))
         rng = np.random.default_rng(12)
         factors = [rng.standard_normal((6, 2)) for _ in range(4)]
         tree = TensorTree(factors, TreeConfig(m=32, seed=12))
-        b_sketch = tree.sketch_vector(rng.standard_normal(6**4))
         pairs.clear()
-        finishes.clear()
+        ffts.clear()
+        b_sketch = tree.sketch_vector(rng.standard_normal(6**4))
+        assert pairs == [] and ffts == []  # one-hot columns need no transform
         tree.update(1, rng.standard_normal((6, 2)))
         # the level-1 node is finished in the time domain, the root is not
-        assert pairs == [False, True] and len(finishes) == 1
+        assert pairs == [False, True] and ffts.count("irfft") == 1
         pairs.clear()
-        finishes.clear()
+        ffts.clear()
         solvers.regression_query(tree, b_sketch)
         solvers.spline_query(tree, b_sketch, solvers.SplineSpec(np.eye(16), 0.5))
         solvers.lowrank_query(tree, 3)
         assert tree.depth == 2 and tree.node_count == 7
-        assert pairs == [] and finishes == []
-        # a read of the root finishes it once, from the stored children
-        root = tree.root
-        assert pairs == [False] and len(finishes) == 1
-        assert tree.levels[-1][0] is root and tree.root is root
-        assert len(pairs) == 1
-        assert np.array_equal(root, pair_nodes(tree.node_specs[2, 0], *tree.levels[1]))
-
-    def test_concurrent_readers_finish_one_root(self):
-        # single writer, many readers: readers that all find the root
-        # unfinished all compute it, identically, so any one may be kept
-        rng = np.random.default_rng(13)
-        tree = TensorTree([rng.standard_normal((64, 3)) for _ in range(4)], TreeConfig(m=256, seed=13))
-        readers = 4  # more than the cores
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for trial in range(5):
-                tree.update(trial % 4, rng.standard_normal((64, 3)))
-                start = threading.Barrier(readers, timeout=30)
-                seen = [None] * readers
-
-                def read(k):
-                    start.wait()
-                    seen[k] = tree.root
-
-                threads = [threading.Thread(target=read, args=(k,)) for k in range(readers)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-                assert not any(t.is_alive() for t in threads)
-                assert all(np.array_equal(seen[0], got) for got in seen[1:])
-                assert np.array_equal(tree.root, seen[0])
-                check_nodes_exact(tree)
-        finally:
-            sys.setswitchinterval(interval)
+        assert pairs == [] and ffts == ["rfft", "rfft"]
+        root = pair_nodes(tree.node_specs[2, 0], *tree.levels[1], frame=True)
+        assert np.array_equal(tree.root, root)
 
 
 def folded_label(tree, sv):
@@ -543,7 +537,7 @@ class TestSketchVector:
         b = kron_chain([f @ x.reshape(-1, 1) for f, x in zip(factors, xs)]).ravel()
         x_full = kron_chain([x.reshape(-1, 1) for x in xs]).ravel()
         expected = tree.root @ x_full
-        got = tree.sketch_vector(b)
+        got = tree.frame(tree.sketch_vector(b))
         assert np.allclose(got, expected, atol=1e-8 * max(1.0, np.abs(expected).max()))
 
     @pytest.mark.parametrize("q", [1, 2, 3, 5])
@@ -644,7 +638,8 @@ class TestMaterializeSketch:
         rng = np.random.default_rng(21 + q)
         factors = [rng.standard_normal((4, 2)) for _ in range(q)]
         tree = TensorTree(factors, TreeConfig(m=9, seed=21 + q))
-        lhs = tree.materialize_sketch() @ kron_chain(factors)
+        sketched = tree.materialize_sketch() @ kron_chain(factors)
+        lhs = to_frame(tree.node_specs[tree.depth, 0], sketched)  # the root's frame
         scale = max(1.0, np.abs(tree.root).max())
         assert np.allclose(lhs, tree.root, atol=1e-9 * scale)
 
@@ -773,6 +768,16 @@ class TestSnapshot:
         raw[5] = 7  # base family code, first header byte after the magic
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
+            TensorTree.load(path)
+
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_bad_adaptive_flag_rejected(self, tmp_path, flag):
+        path, raw = self._saved(tmp_path)
+        at = len(SNAPSHOT_MAGIC) + struct.calcsize("<BBQ")  # after the codes and m
+        assert raw[at] == 0
+        raw[at] = flag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="adaptive flag"):
             TensorTree.load(path)
 
     @pytest.mark.parametrize("cb, tb", [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
