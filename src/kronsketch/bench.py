@@ -157,23 +157,21 @@ def save_matrix(path, M) -> None:
 
 def load_sparse_vector(path) -> SparseVector:
     """Read a sparse vector file (``len nnz`` header, then index/value pairs)."""
-    data, length, nnz, payload = _counted_payload(
+    data, length, _, payload = _counted_payload(
         path, ("vector length", "nonzero count"), lambda n, k: 2 * k, "tokens"
     )
     indices = _bulk(
         int, payload[0::2], np.int64, lambda i: bool(((i >= 0) & (i < length)).all())
     )
     values = _bulk(float, payload[1::2], np.float64, _all_finite)
-    if indices is None or values is None:
-        indices = np.empty(nnz, dtype=np.int64)
-        values = np.empty(nnz)
+    if indices is None or values is None:  # raise at the first bad token
+        end = min(length, 1 << 63)  # no int64 index reaches past it
         pairs = _tokens_at(data, 2)
-        for k, ((tok, off), value) in enumerate(zip(pairs, pairs)):
+        for (tok, off), value in zip(pairs, pairs):
             idx = _parse_count(tok, off, "index")
-            if idx >= length:
-                raise ParseError(f"index {idx} out of range [0, {length})", off)
-            indices[k] = idx
-            values[k] = _parse_float(*value)
+            if idx >= end:
+                raise ParseError(f"index {idx} out of range [0, {end})", off)
+            _parse_float(*value)
     return SparseVector(length, indices, values)
 
 
@@ -185,19 +183,25 @@ def save_sparse_vector(path, sv: SparseVector) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _text_lines(path, what: str):
+    """(line, byte offset) of each line of a text file, its line ending
+    stripped; a line that is not UTF-8 raises ParseError at its bad byte."""
+    offset = 0
+    for raw_line in Path(path).read_bytes().splitlines(keepends=True):
+        try:
+            line = raw_line.decode()
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{what} line is not UTF-8", offset + err.start) from None
+        yield line.rstrip("\r\n"), offset
+        offset += len(raw_line)
+
+
 def parse_stream(path) -> list[tuple]:
     """Parse an update stream into ('U', i, path) / ('B', path) / ('Q',)."""
-    path = Path(path)
-    base = path.parent
+    base = Path(path).parent
     events: list[tuple] = []
-    offset = 0
-    for raw_line in path.read_bytes().splitlines(keepends=True):
-        line_off = offset
-        offset += len(raw_line)
-        try:
-            line = raw_line.decode().strip()
-        except UnicodeDecodeError:
-            raise ParseError("stream line is not UTF-8", line_off) from None
+    for line, line_off in _text_lines(path, "stream"):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
@@ -531,24 +535,22 @@ def report(records, path) -> None:
 
 
 def read_report(path) -> list[BenchRecord]:
-    """Parse a report CSV back into records."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+    """Parse a report CSV back into records; a malformed report raises
+    ParseError at its first bad byte or row."""
+    lines = _text_lines(path, "report")
+    if next(lines, ("", 0))[0] != CSV_HEADER:
         raise ParseError("missing or wrong CSV header", 0)
     out = []
-    for line in lines[1:]:
+    for line, offset in lines:
         cells = line.split(",")
-        if len(cells) != 7:
-            raise ParseError(f"malformed CSV row {line!r}", 0)
-        out.append(
-            BenchRecord(
-                int(cells[0]),
-                cells[1],
-                int(cells[2]),
-                int(cells[3]),
-                *(float(c) if c else None for c in cells[4:7]),
-            )
-        )
+        try:
+            if len(cells) != 7:
+                raise ValueError(f"{len(cells)} cells, expected 7")
+            event, wall_ns, nodes = (int(cells[k]) for k in (0, 2, 3))
+            costs = (float(c) if c else None for c in cells[4:])
+            out.append(BenchRecord(event, cells[1], wall_ns, nodes, *costs))
+        except ValueError as err:
+            raise ParseError(f"malformed CSV row {line!r}: {err}", offset) from None
     return out
 
 

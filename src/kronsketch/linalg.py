@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 # Allocation guard for explicit products and materialized sketches.
 MAX_ELEMENTS = 1 << 31
@@ -219,16 +220,11 @@ class HadamardWork:
         return x[:, :c]
 
 
-def _hadamard_axis0(a: np.ndarray) -> np.ndarray:
-    """H_p a for the unnormalized +-1 Hadamard matrix H_p, p = a.shape[0] a
-    power of two, as a (p, c) view of a new array; ``a`` is not modified.
-
-    Any column count c is accepted (see ``HadamardWork``).
-    """
-    p, c = a.shape
-    work = HadamardWork()
-    work.block(p, p, c)[:] = a
-    return work.transform()
+# Guards of least_squares's Cholesky path (fixed, not knobs): the largest
+# condition estimate of the factor, and the smallest squared column norm,
+# above which the underflow of M^T M costs less than eps relative.
+_MAX_COND = 1e6
+_MIN_GRAM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 class LstsqResult(NamedTuple):
@@ -240,18 +236,33 @@ class LstsqResult(NamedTuple):
 def least_squares(M, y) -> LstsqResult:
     """Minimum-norm least-squares solution of min_x ||M x - y||_2.
 
-    Solved through an orthogonal (SVD-based) factorization; rank-deficient
-    systems silently take the pseudo-inverse path and are flagged in the
-    returned metadata.
+    A well-conditioned M takes the corrected seminormal equations (Bjorck
+    1987): x solves C^T C x = M^T y, C the Cholesky factor of M^T M, and one
+    refinement step adds the solution for M^T (y - M x), which cuts the error
+    from kappa^2 eps to an orthogonal solver's. Where the factorization fails,
+    LAPACK's estimate of cond_1(C) exceeds ``_MAX_COND``, a column is tiny or
+    a product overflows, NumPy's SVD-based ``lstsq`` solves instead: a
+    rank-deficient M gets the pseudo-inverse answer, flagged in the result.
     """
     M = as_matrix(M)
     y = as_vector(y)
-    if M.shape[0] < M.shape[1]:
+    d = M.shape[1]
+    if M.shape[0] < d:
         raise DimensionError(f"need rows >= cols, got {M.shape}")
     if y.size != M.shape[0]:
         raise DimensionError(f"rhs length {y.size} != rows {M.shape[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = M.T @ M
+        C, info = lapack.dpotrf(G)
+        # an overflowed G gives a NaN or zero estimate
+        ok = d > 0 and info == 0 and G.diagonal().min() >= _MIN_GRAM
+        if ok and lapack.dtrcon(C)[0] * _MAX_COND >= 1.0:
+            x = lapack.dpotrs(C, M.T @ y)[0]
+            x += lapack.dpotrs(C, M.T @ (y - M @ x))[0]
+            if np.isfinite(x).all():
+                return LstsqResult(x, d, False)
     x, _, rank, _ = np.linalg.lstsq(M, y, rcond=None)
-    return LstsqResult(x, int(rank), int(rank) < M.shape[1])
+    return LstsqResult(x, int(rank), int(rank) < d)
 
 
 def thin_svd(M):

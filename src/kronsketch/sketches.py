@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,9 +88,16 @@ class TensorFamily(str, Enum):
     TENSOR_SRHT = "tensorsrht"
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < MAX_SEED:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+def _check_int(name: str, value, low: int, high=math.inf) -> int:
+    """``value`` as an int in [low, high): a non-integer raises
+    ConfigurationError, an integer out of range ValueError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= value < high:
+        raise ValueError(f"{name} must lie in [{low}, {high}), got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,7 @@ class BaseSketchSpec:
             raise ConfigurationError(
                 f"{self.family.value} does not take a sparsity parameter"
             )
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, MAX_SEED))
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ class TensorSketchSpec:
         object.__setattr__(self, "family", TensorFamily(self.family))
         if self.side_dim < 1 or self.output_dim < 1:
             raise DimensionError("side_dim and output_dim must be >= 1")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, MAX_SEED))
 
 
 def _next_pow2(n: int) -> int:
@@ -358,18 +366,6 @@ def _tensor_finish(spec: TensorSketchSpec, prod: np.ndarray) -> np.ndarray:
     return prod / math.sqrt(spec.output_dim)
 
 
-def _fourier_weights(m: int) -> np.ndarray:
-    """Weights of the m // 2 + 1 rfft bins of an m-vector that make the real
-    Fourier frame orthogonal: sqrt(1/m) at DC (and at Nyquist for even m),
-    where the bin stands for itself, and sqrt(2/m) at every other bin, which
-    stands for its conjugate twin as well (Parseval)."""
-    w = np.full(m // 2 + 1, math.sqrt(2.0 / m))
-    w[0] = math.sqrt(1.0 / m)
-    if m % 2 == 0:
-        w[-1] = w[0]
-    return w
-
-
 def _real_stack(F: np.ndarray, m: int) -> np.ndarray:
     """Real parts of the m // 2 + 1 rfft bins F (along axis 0) over the
     imaginary parts of bins 1 .. ceil(m / 2) - 1, those of DC and Nyquist
@@ -380,17 +376,33 @@ def _real_stack(F: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _fourier_weights(m: int) -> np.ndarray:
+    """Weights of the m rows of ``_real_stack`` that make the real Fourier
+    frame orthogonal: sqrt(1/m) for DC (and Nyquist, for even m), whose bin
+    stands for itself, and sqrt(2/m) for every other row, whose bin stands
+    for its conjugate twin as well (Parseval). Built once per m, read-only."""
+    w = np.full(m, math.sqrt(2.0 / m))
+    w[0] = math.sqrt(1.0 / m)
+    if m % 2 == 0:
+        w[m // 2] = w[0]
+    w.flags.writeable = False
+    return w
+
+
 def to_frame(spec: TensorSketchSpec | None, Y) -> np.ndarray:
     """Q Y along axis 0, for Q the orthogonal frame of the outputs of ``spec``.
 
-    For TensorSketch, Q is the real Fourier transform: the rfft bins of Y
-    weighted by ``_fourier_weights``, then ``_real_stack``. For TensorSRHT,
-    or no spec (a lone leaf), Q is the identity and Y comes back as it is.
+    For TensorSketch, Q is the real Fourier transform: ``_real_stack`` of the
+    rfft bins of Y, times ``_fourier_weights``. For TensorSRHT, or no spec (a
+    lone leaf), Q is the identity and Y comes back as it is.
     """
     if spec is None or spec.family is not TensorFamily.TENSOR_SKETCH:
         return Y
     m = spec.output_dim
-    return _real_stack((np.fft.rfft(Y, axis=0).T * _fourier_weights(m)).T, m)
+    out = _real_stack(np.fft.rfft(Y, axis=0), m)
+    out *= _fourier_weights(m).reshape(-1, *(1,) * (out.ndim - 1))
+    return out
 
 
 def apply_tensor_pair(spec: TensorSketchSpec, J1, J2, *, frame: bool = False) -> np.ndarray:
@@ -418,7 +430,8 @@ def apply_tensor_pair(spec: TensorSketchSpec, J1, J2, *, frame: bool = False) ->
         raise DimensionError("tensor sketch output exceeds element limit")
     left, right = _tensor_side(spec, J1, 0), _tensor_side(spec, J2, 1)
     if frame and spec.family is TensorFamily.TENSOR_SKETCH:
-        prod = (left * _fourier_weights(m_out)[:, None])[:, :, None] * right[:, None, :]
+        w = _fourier_weights(m_out)[:left.shape[0], None]
+        prod = (left * w)[:, :, None] * right[:, None, :]
         return _real_stack(prod, m_out).reshape(m_out, c1 * c2)
     prod = left[:, :, None] * right[:, None, :]
     return _tensor_finish(spec, prod).reshape(m_out, c1 * c2)

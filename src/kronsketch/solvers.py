@@ -89,11 +89,11 @@ def regression_query(tree: TensorTree, b_sketch) -> np.ndarray:
 def penalized_solve(M, y, spline: SplineSpec) -> np.ndarray:
     """Minimizer of ||M x - y||^2 + lam ||L x||^2.
 
-    Solved as one least-squares problem on the stacked [M; sqrt(lam) L]
-    (orthogonal factorization), which is equivalent to the normal-equation
-    closed form (M.T M + lam L.T L)^{-1} M.T y but better conditioned.
-    Fewer stacked rows than columns raise DimensionError, and a singular
-    normal matrix raises RegularizationError.
+    Solved as one ``least_squares`` problem on the stacked [M; sqrt(lam) L],
+    whose answer is the closed form (M.T M + lam L.T L)^{-1} M.T y: by a
+    refined Cholesky solve where that matrix is well conditioned, and by
+    the SVD-based fallback otherwise. Fewer stacked rows than columns raise
+    DimensionError, and a singular normal matrix RegularizationError.
     """
     L = spline.L
     if L.shape[1] != M.shape[1]:

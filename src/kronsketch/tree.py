@@ -37,7 +37,6 @@ threads may read (root, sketch_vector, queries) between updates.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -59,7 +58,7 @@ from .sketches import (
     ConfigurationError,
     TensorFamily,
     TensorSketchSpec,
-    _check_seed,
+    _check_int,
     apply_base,
     apply_tensor_cols,
     apply_tensor_pair,
@@ -90,13 +89,8 @@ class TreeConfig:
     def __post_init__(self):
         object.__setattr__(self, "c_family", BaseFamily(self.c_family))
         object.__setattr__(self, "t_family", TensorFamily(self.t_family))
-        try:
-            object.__setattr__(self, "m", operator.index(self.m))
-        except TypeError:
-            raise ConfigurationError(f"m must be an integer, got {self.m!r}") from None
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        _check_seed(self.seed)
+        object.__setattr__(self, "m", _check_int("m", self.m, 1))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, MAX_SEED))
 
 
 def _draw_seed(seed: int, k: int) -> int:

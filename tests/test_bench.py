@@ -126,6 +126,14 @@ class TestSparseVectorFormat:
         with pytest.raises(ParseError, match="out of range"):
             load_sparse_vector(p)
 
+    def test_index_past_int64_rejected(self, tmp_path):
+        # a length past 2**63 admits no index an int64 array cannot hold
+        p = tmp_path / "v.spvec"
+        p.write_text(f"{2**70} 2\n0 1.0\n{2**63} 1.0\n")
+        with pytest.raises(ParseError, match="out of range") as excinfo:
+            load_sparse_vector(p)
+        assert excinfo.value.offset == len(f"{2**70} 2\n0 1.0\n")
+
     def test_truncated(self, tmp_path):
         p = tmp_path / "v.spvec"
         p.write_text("4 2\n1 1.0\n")
@@ -492,6 +500,25 @@ class TestReport:
     def test_no_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             report([], tmp_path / "r.csv")
+
+    def test_non_utf8_byte_rejected_at_its_offset(self, tmp_path):
+        p = tmp_path / "r.csv"
+        report([BenchRecord(0, "init", 123, 3)], p)
+        good = p.read_bytes()
+        p.write_bytes(good + b"1,query,\xff,0,,,\n")
+        with pytest.raises(ParseError, match="not UTF-8") as excinfo:
+            read_report(p)
+        assert excinfo.value.offset == len(good) + 8
+
+    @pytest.mark.parametrize("row", ["x,init,1,0,,,", "1,query,5,0,two,,", "1,init,5,0"])
+    def test_malformed_row_rejected_at_its_offset(self, tmp_path, row):
+        p = tmp_path / "r.csv"
+        report([BenchRecord(0, "init", 123, 3)], p)
+        good = p.read_bytes()
+        p.write_text(good.decode() + row + "\n2,init,1,0,,,\n")
+        with pytest.raises(ParseError, match="malformed CSV row") as excinfo:
+            read_report(p)
+        assert excinfo.value.offset == len(good)
 
     def test_ratio_invariant_enforced(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,7 +15,6 @@ from kronsketch.linalg import (
     RegularizationError,
     SparseVector,
     _bit_parity_sign,
-    _hadamard_axis0,
     kron,
     kron_chain,
     kron_rows_dot,
@@ -22,6 +22,8 @@ from kronsketch.linalg import (
     sym_generalized_eigs,
     thin_svd,
 )
+from kronsketch.tree import TensorTree, TreeConfig
+from test_solvers import assert_solves_agree
 
 RNG = np.random.default_rng(20240817)
 
@@ -156,6 +158,15 @@ def _sylvester_hadamard(n):
     while H.shape[0] < n:
         H = np.block([[H, H], [H, -H]])
     return H
+
+
+def _hadamard_axis0(a: np.ndarray) -> np.ndarray:
+    """H_p a for the unnormalized +-1 Hadamard matrix H_p, p = a.shape[0] a
+    power of two, through one ``HadamardWork``; ``a`` is not modified."""
+    p, c = a.shape
+    work = HadamardWork()
+    work.block(p, p, c)[:] = a
+    return work.transform()
 
 
 def fwht(v):
@@ -319,6 +330,75 @@ class TestLeastSquares:
         for _ in range(5):
             delta = 0.1 * rng.standard_normal(3)
             assert np.linalg.norm(M @ (x + delta) - y) ** 2 >= base - 1e-9
+
+    @given(
+        d=st.integers(1, 81),
+        extra=st.integers(0, 1024 - 81),
+        log_kappa=st.floats(0.0, 12.0),
+        noise=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(d=81, extra=943, log_kappa=1.0, noise=0.1, seed=0)  # the Cholesky path
+    @example(d=81, extra=943, log_kappa=5.0, noise=0.0, seed=0)  # ... near the guard
+    @example(d=81, extra=943, log_kappa=11.0, noise=0.1, seed=0)  # the lstsq fallback
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lstsq_across_the_guard(self, d, extra, log_kappa, noise, seed):
+        # A = U diag(s) V^T with singular values from 1 down to 1 / kappa
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((d + extra, d)))
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        A = (U * np.logspace(0.0, -log_kappa, d)) @ V.T
+        # a consistent y (no noise) leaves the bound no kappa^2 residual term
+        y = A @ rng.standard_normal(d) + noise * rng.standard_normal(d + extra)
+        ref = np.linalg.lstsq(A, y, rcond=None)
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+            res = least_squares(A, y)
+        if spy.called:
+            assert np.array_equal(res.x, ref[0]) and res.rank == ref[2]
+        else:
+            assert res.rank == d and not res.rank_deficient
+            assert_solves_agree(res.x, ref[0], A, y, identity=False)
+        # cond_1 of the Cholesky factor is at most d kappa, so the guard
+        # (1e6) passes every such system, with room for rounding
+        if d * 10.0**log_kappa <= 1e5:
+            assert not spy.called
+
+    def test_well_conditioned_root_takes_the_cholesky_path(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        factors = [rng.standard_normal((4096, 3)) for _ in range(4)]
+        R = TensorTree(factors, TreeConfig(m=1024, seed=16)).root
+        y = rng.standard_normal(1024)
+        ref = np.linalg.lstsq(R, y, rcond=None)[0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("least_squares fell back to lstsq")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        res = least_squares(R, y)
+        assert R.shape == (1024, 81) and res.rank == 81 and not res.rank_deficient
+        assert np.linalg.norm(res.x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_rank_one_root_keeps_flag_and_min_norm(self):
+        # all-ones factors make the Kronecker product, and so the root, rank 1
+        tree = TensorTree([np.ones((16, 3)), np.ones((16, 3))], TreeConfig(m=64, seed=3))
+        y = np.random.default_rng(3).standard_normal(64)
+        res = least_squares(tree.root, y)
+        ref = np.linalg.lstsq(tree.root, y, rcond=None)
+        assert res.rank_deficient and res.rank == 1 == ref[2]
+        assert np.array_equal(res.x, ref[0])
+
+    @pytest.mark.parametrize("scale_M, scale_y", [(1e-160, 1.0), (1e200, 1.0), (1.0, 1e308)])
+    def test_extreme_scales_fall_back(self, scale_M, scale_y):
+        # an underflowed or overflowed M^T M, or an overflowed M^T y, takes
+        # the lstsq path, silently
+        M = scale_M * np.ones((4, 1))
+        y = scale_y * np.array([1.0, 1.0, 1.0, 0.5])
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = least_squares(M, y)
+        assert spy.called and np.isfinite(res.x).all()
+        assert res.x[0] == pytest.approx(0.875 * scale_y / scale_M, rel=1e-14)
 
 
 class TestThinSvd:

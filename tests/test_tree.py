@@ -157,6 +157,19 @@ class TestInitialize:
     def test_integer_m_kept_as_int(self):
         assert type(TreeConfig(m=np.int64(8)).m) is int
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        # at the config, not later in the build's numpy SeedSequence
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            TreeConfig(seed=seed)
+
+    def test_integer_seed_kept_as_int(self):
+        cfg = TreeConfig(m=4, seed=np.uint64(7))
+        assert type(cfg.seed) is int
+        factors = random_factors(2)
+        assert np.array_equal(TensorTree(factors, cfg).root,
+                              TensorTree(factors, TreeConfig(m=4, seed=7)).root)
+
     def test_column_blowup_rejected(self):
         factors = [np.ones((2, 64)) for _ in range(8)]  # d = 64^8
         with pytest.raises(DimensionError):
