@@ -32,12 +32,17 @@ example a label vector).
 
 A tree is single-writer: updates need exclusive access, while any number of
 threads may read (root, sketch_vector, queries) between updates.
+``sketch_vector`` shares its folded chunks with one module-level helper
+thread, which only reads the tree; a forked child starts its own.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +76,30 @@ from .sketches import (
 
 SNAPSHOT_MAGIC = b"KTTR5"
 _HEADER = "<BBQBQQQ"  # c code, t code, m, adaptive, seed, generation, q
+
+# A folded label's chunks are shared by _LANES lanes, the calling thread and
+# one worker thread; no lane takes a chunk _AHEAD or more past the next one
+# to add (fixed, not knobs)
+_LANES = 2
+_AHEAD = 8
+
+
+def _new_worker() -> None:
+    """Start afresh the label lane's worker, whose thread a forked child lacks."""
+    global _worker
+    _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="kronsketch-label")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_new_worker()  # no thread runs before the first submit
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
 
 _BASE_CODES = {f: i for i, f in enumerate(BaseFamily)}
 _TENSOR_CODES = {f: i for i, f in enumerate(TensorFamily)}
@@ -313,11 +342,15 @@ class TensorTree:
         leaf) keep every column one-hot, so each nonzero is carried as one
         (row, sign) pair and the root is a single signed bincount: O(q nnz)
         time and memory at any m. Every other family pair folds dense m x
-        chunk column blocks, ``max(1, 2**16 // m)`` nonzeros at a time (about
-        512 KB per block), and adds each chunk's weighted root columns in
-        chunk order, so memory stays O(m chunk) at any nnz. One
-        ``HadamardWork`` serves every TensorSRHT transform of the call, so its
-        buffers are allocated once, not per chunk and node, and freed at return.
+        chunk column blocks, ``max(1, 2**15 // m)`` nonzeros at a time (about
+        256 KB per block). Two lanes, this thread and the helper thread,
+        each take the next chunk in order (one lane for fewer than two chunks
+        or on one CPU), and each chunk's weighted root columns are added in
+        chunk order, so the result is bit for bit the same whichever lane
+        sketched a chunk. No lane runs ``_AHEAD`` chunks past the next one to
+        add, so memory stays O(m chunk) at any nnz. Each lane keeps one
+        ``HadamardWork`` for all its TensorSRHT transforms, so its buffers are
+        allocated once, not per chunk and node, and freed at return.
         """
         if isinstance(b, SparseVector):
             sv = b
@@ -339,19 +372,67 @@ class TensorTree:
                 pass
             rows, signs = cols[0]
             return np.bincount(rows, weights=signs * sv.values, minlength=cfg.m)
-        out = np.zeros(cfg.m)
-        chunk = max(1, 2**16 // cfg.m)
-        work = HadamardWork()
+        chunk = max(1, 2**15 // cfg.m)
+        parts = [slice(start, start + chunk) for start in range(0, sv.nnz, chunk)]
 
-        def pair(key, left, right):
-            return apply_tensor_cols(self.node_specs[key], left, right, work=work)
+        def sketch_chunk(part, work):
+            def pair(key, left, right):
+                return apply_tensor_cols(self.node_specs[key], left, right, work=work)
 
-        for start in range(0, sv.nnz, chunk):
-            part = slice(start, start + chunk)
             mats = [base_columns(s, d[part]) for s, d in zip(self.leaf_specs, digits)]
             for mats in _fold(mats, pair):
                 pass
-            out += mats[0] @ sv.values[part]
+            return mats[0] @ sv.values[part]
+
+        out = np.zeros(cfg.m)
+        if min(_LANES, len(parts), _usable_cpus()) < 2:
+            work = HadamardWork()
+            for part in parts:
+                out += sketch_chunk(part, work)
+            return out
+        # Each lane takes the next chunk in order, no more than _AHEAD past
+        # the next one to add, so a lane slowed by a busy CPU takes fewer and
+        # memory stays O(m chunk); the caller adds them in chunk order.
+        cond = threading.Condition(threading.Lock())
+        done = {}  # chunk -> root columns, or the exception that it raised
+        taken = added = 0
+
+        def lane(work, adds):
+            nonlocal out, taken, added
+            with cond:
+                while added < len(parts):
+                    if adds and added in done:
+                        result = done.pop(added)
+                        if isinstance(result, BaseException):
+                            raise result
+                        out += result
+                        added += 1
+                        cond.notify_all()
+                    elif taken < min(len(parts), added + _AHEAD):
+                        k, taken = taken, taken + 1
+                        cond.release()
+                        try:
+                            result = sketch_chunk(parts[k], work)
+                        except BaseException as exc:  # the caller raises it in chunk order
+                            result = exc
+                        finally:
+                            cond.acquire()
+                        done[k] = result
+                        cond.notify_all()
+                    elif taken == len(parts) and not adds:
+                        return
+                    else:
+                        cond.wait()
+
+        future = _worker.submit(lane, HadamardWork(), False)
+        try:
+            lane(HadamardWork(), True)
+        finally:
+            with cond:  # a caller that raised stops the worker after its chunk
+                taken = len(parts)
+                cond.notify_all()
+            if not future.cancel():  # it left the queue: wait until it returns
+                future.result()
         return out
 
     def _pair_one_hot(self, key, left, right):

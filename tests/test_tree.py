@@ -1,5 +1,10 @@
 import itertools
+import os
+import signal
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -33,6 +38,11 @@ FAMILY_PAIRS = [
     (BaseFamily.COUNT_SKETCH, TensorFamily.TENSOR_SKETCH),
     (BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT),
     (BaseFamily.SRHT, TensorFamily.TENSOR_SRHT),
+]
+# every pair whose labels fold dense column chunks (at q >= 2 for CountSketch)
+FOLDED_PAIRS = [
+    pair for pair in itertools.product(BaseFamily, TensorFamily)
+    if pair != (BaseFamily.COUNT_SKETCH, TensorFamily.TENSOR_SKETCH)
 ]
 
 
@@ -565,7 +575,7 @@ class TestSketchVector:
         assert np.allclose(tree.sketch_vector(sv), expected, atol=1e-10)
 
     def test_label_across_chunks(self):
-        # m = 2048 folds 32 nonzeros per chunk: three full chunks and one of 4
+        # m = 2048 folds 16 nonzeros per chunk: six full chunks and one of 4
         rng = np.random.default_rng(25)
         factors = [rng.standard_normal((6, 1)) for _ in range(3)]
         tree = TensorTree(factors, self.config(2048, 25))
@@ -638,6 +648,136 @@ class TestLabelPaths:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+
+def on_worker() -> bool:
+    return threading.current_thread().name.startswith("kronsketch-label")
+
+
+class TestLabelLanes:
+    """A folded label's chunks are shared by the calling thread and one worker thread."""
+
+    M = 4096  # 2**15 // m = 8 nonzeros per chunk
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # the lane count is capped by the CPUs this process may run on
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @staticmethod
+    def label_tree(pair, q, seed):
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal((5, 2)) for _ in range(q)]
+        tree = TensorTree(factors, TreeConfig(*pair, m=TestLabelLanes.M, seed=seed))
+        return tree, rng
+
+    @staticmethod
+    def wait_for_worker(monkeypatch):
+        """An event set once the worker sketches a chunk; until then, and for
+        at most 30 s, the calling thread waits in its first chunk, so the
+        worker is sure to take one when it can."""
+        seen = threading.Event()
+
+        def gated(spec, rows):
+            if on_worker():
+                seen.set()
+            else:
+                seen.wait(timeout=30)
+            return base_columns(spec, rows)
+
+        monkeypatch.setattr(tree_module, "base_columns", gated)
+        return seen
+
+    @pytest.mark.parametrize("pair", FOLDED_PAIRS, ids=lambda p: "-".join(f.value for f in p))
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_bit_identical_at_one_and_two_lanes(self, pair, q, monkeypatch):
+        tree, rng = self.label_tree(pair, q, 40 + q)
+        n = 5**q
+        # a lone CountSketch leaf is one-hot: its labels take the bincount path
+        folded = not (q == 1 and pair[0] is BaseFamily.COUNT_SKETCH)
+        # none, one nonzero, exactly one chunk, one chunk + 1, and five chunks
+        for nnz in (0, 1, 8, 9, 35):
+            sv = SparseVector(n, rng.integers(0, n, size=nnz), rng.standard_normal(nnz))
+            monkeypatch.setattr(tree_module, "_LANES", 1)
+            serial = tree.sketch_vector(sv)
+            monkeypatch.setattr(tree_module, "_LANES", 2)
+            if folded and nnz > 8:
+                seen = self.wait_for_worker(monkeypatch)
+            assert np.array_equal(tree.sketch_vector(sv), serial)
+            if folded and nnz > 8:
+                assert seen.is_set()
+                monkeypatch.setattr(tree_module, "base_columns", base_columns)
+            assert np.allclose(serial, folded_label(tree, sv), rtol=0,
+                               atol=1e-14 * max(1.0, np.abs(sv.values).sum()))
+
+    def test_worker_error_propagates_and_next_call_works(self, monkeypatch):
+        tree, rng = self.label_tree(FOLDED_PAIRS[1], 3, 50)
+        sv = SparseVector(125, rng.integers(0, 125, size=40), rng.standard_normal(40))
+        expected = tree.sketch_vector(sv)
+        raised = threading.Event()
+
+        def failing(*args, **kwargs):
+            if on_worker():
+                raised.set()
+                raise FloatingPointError("worker lane failed")
+            raised.wait(timeout=30)  # so that the worker takes a chunk
+            return apply_tensor_cols(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "apply_tensor_cols", failing)
+        with pytest.raises(FloatingPointError, match="worker lane failed"):
+            tree.sketch_vector(sv)
+        assert raised.is_set()
+        monkeypatch.setattr(tree_module, "apply_tensor_cols", apply_tensor_cols)
+        assert np.array_equal(tree.sketch_vector(sv), expected)
+
+    def test_concurrent_readers_agree(self):
+        tree, rng = self.label_tree(FOLDED_PAIRS[2], 4, 51)
+        sv = SparseVector(625, rng.integers(0, 625, size=60), rng.standard_normal(60))
+        expected = tree.sketch_vector(sv)
+        start = threading.Barrier(4)
+        results = [[] for _ in range(4)]
+
+        def read(out):
+            start.wait(timeout=30)
+            for _ in range(5):
+                out.append(tree.sketch_vector(sv))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=read, args=(out,)) for out in results]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert all(len(out) == 5 for out in results)
+        assert all(np.array_equal(got, expected) for out in results for got in out)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_sketch_in_forked_child(self, monkeypatch):
+        tree, rng = self.label_tree(FOLDED_PAIRS[1], 3, 52)
+        sv = SparseVector(125, rng.integers(0, 125, size=40), rng.standard_normal(40))
+        expected = tree.sketch_vector(sv)  # the parent's worker thread has run
+        seen = self.wait_for_worker(monkeypatch)
+        pid = os.fork()
+        if pid == 0:  # child: never return into the test runner
+            code = 1
+            try:
+                same = np.array_equal(tree.sketch_vector(sv), expected)
+                code = 0 if same and seen.is_set() else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:  # still running: the child hung
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("sketch_vector hung in a forked child")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestMaterializeSketch:
