@@ -14,8 +14,9 @@ File formats (all text, so scenarios can live in version control):
 
 Replays are deterministic given the scenario seed; wall-clock columns are
 the only part of a report that varies between runs. Reported wall times
-cover the data-structure operation itself, not the exact-oracle
-verification that the ``oracle`` toggle adds to query events.
+cover the data-structure operation itself, not the scoring that follows:
+each query's answer is scored against one reduction and exact optimum per
+state, built at the first query after an update or label event.
 """
 
 from __future__ import annotations
@@ -363,6 +364,9 @@ class _Run:
         self.tree: TensorTree | None = None
         self.b_sketch: np.ndarray | None = None
         self.b_generation = 0
+        # the state's (reduction, oracle cost): events drop it, as the
+        # baseline's factors change in place
+        self._scoring: tuple | None = None
 
         start = time.perf_counter_ns()
         factors = [load_matrix(p) for p in scenario.factors]
@@ -408,6 +412,7 @@ class _Run:
     def do_update(self, event: int, index_1based: int, path: str) -> None:
         i = index_1based - 1
         B = load_matrix(path)
+        self._scoring = None
         start = time.perf_counter_ns()
         if self.baseline is not None:
             self.baseline.update(i, B)
@@ -428,6 +433,7 @@ class _Run:
             raise ValueError("label update in a scenario without --label")
         if delta.length != self.b.length:
             raise DimensionError("label delta length mismatch")
+        self._scoring = None
         self.b = SparseVector(
             self.b.length,
             np.concatenate([self.b.indices, delta.indices]),
@@ -449,6 +455,28 @@ class _Run:
             self.b_generation = self.tree.generation
         return self.b_sketch
 
+    def _score_state(self) -> tuple:
+        """The reduction of the current state (of the factors alone for
+        low-rank) and its exact optimum, or None without the oracle."""
+        if self._scoring is None:
+            sc, oracle_cost = self.sc, None
+            if sc.solver == "lowrank":
+                red = kron_reduction(self.factors)
+                if sc.oracle:
+                    oracle_cost = exact_lowrank(self.factors, sc.rank, reduction=red)
+            else:
+                red = kron_reduction(self.factors, self.b)
+                if sc.oracle and sc.solver == "spline":
+                    oracle_cost = exact_spline(
+                        self.factors, self.b, self.spline, reduction=red
+                    ).opt_cost
+                elif sc.oracle:
+                    oracle_cost = exact_kron_regression(
+                        self.factors, self.b, reduction=red
+                    ).opt_cost
+            self._scoring = (red, oracle_cost)
+        return self._scoring
+
     def do_query(self, event: int) -> None:
         sc = self.sc
         start = time.perf_counter_ns()
@@ -462,24 +490,11 @@ class _Run:
             x = self.baseline.query()
         wall = time.perf_counter_ns() - start
 
-        oracle_cost = None
-        # one reduction scores the answer and feeds the exact oracle
+        red, oracle_cost = self._score_state()
         if sc.solver == "lowrank":
-            red = kron_reduction(self.factors)
             cost = float(np.linalg.norm(red.R - (red.R @ low.Uk.T) @ low.Uk))
-            if sc.oracle:
-                oracle_cost = exact_lowrank(self.factors, sc.rank, reduction=red)
         else:
-            red = kron_reduction(self.factors, self.b)
             cost = red.cost(x, self.spline)
-            if sc.oracle and sc.solver == "spline":
-                oracle_cost = exact_spline(
-                    self.factors, self.b, self.spline, reduction=red
-                ).opt_cost
-            elif sc.oracle:
-                oracle_cost = exact_kron_regression(
-                    self.factors, self.b, reduction=red
-                ).opt_cost
         ratio = _ratio(cost, oracle_cost) if oracle_cost is not None else None
         self.records.append(
             BenchRecord(event, "query", wall, 0, cost, oracle_cost, ratio)

@@ -180,9 +180,13 @@ def _distinct_rows(rng: np.random.Generator, n: int, m: int, s: int) -> np.ndarr
     in [0, j] per row and keep t, or j if the row already holds t.
     """
     rows = np.empty((n, s), dtype=np.int64)
+    taken = np.empty(n, dtype=bool)
     for k, j in enumerate(range(m - s, m)):
         t = rng.integers(0, j + 1, size=n)
-        rows[:, k] = np.where((rows[:, :k] == t[:, None]).any(axis=1), j, t)
+        taken.fill(False)
+        for r in range(k):
+            taken |= rows[:, r] == t
+        rows[:, k] = np.where(taken, j, t)
     return rows
 
 

@@ -293,24 +293,107 @@ class TestReplay:
         ))
         assert parsed.count(L_path) == 1
 
-    @pytest.mark.parametrize("solver", ["regression", "spline", "lowrank"])
-    def test_oracle_reduction_built_once_per_query(self, scenario_files, monkeypatch, solver):
+    @staticmethod
+    def _state_scenario(tmp_path, factor_paths, solver, **kw):
+        """Two queries in each of three states (two for low-rank): after
+        set-up, after a factor update, after a label update."""
+        events = ["Q", "Q", "U 1 B.kmat", "Q", "Q"]
+        if solver != "lowrank":
+            events += ["B delta.spvec", "Q", "Q"]
+        (tmp_path / "states.txt").write_text("\n".join(events) + "\n")
+        args = dict(
+            solver=solver, rank=2, stream=str(tmp_path / "states.txt"),
+            label=None if solver == "lowrank" else str(tmp_path / "b.spvec"),
+            spline_l=str(tmp_path / "L.kmat"), lam=0.5, cfactor=2.0,
+        )
+        args.update(kw)
+        return base_scenario(tmp_path, factor_paths, **args), events
+
+    @pytest.mark.parametrize("solver", ["regression", "spline", "lowrank", "baseline"])
+    def test_oracle_reduction_built_once_per_state(self, scenario_files, monkeypatch, solver):
         tmp_path, factor_paths = scenario_files
         calls = []
         reduce = bench.kron_reduction
-        monkeypatch.setattr(bench, "kron_reduction", lambda *a: calls.append(1) or reduce(*a))
-        sc = base_scenario(
-            tmp_path, factor_paths, solver=solver, rank=2,
-            label=None if solver == "lowrank" else str(tmp_path / "b.spvec"),
-            spline_l=str(tmp_path / "L.kmat"), lam=0.5,
-            stream=None if solver == "lowrank" else str(tmp_path / "stream.txt"),
+        monkeypatch.setattr(
+            bench, "kron_reduction", lambda *a: calls.append(len(a)) or reduce(*a)
         )
-        if solver == "lowrank":
-            (tmp_path / "lowrank.txt").write_text("Q\nU 1 B.kmat\nQ\n")
-            sc.stream = str(tmp_path / "lowrank.txt")
+        sc, events = self._state_scenario(tmp_path, factor_paths, solver)
         records = replay(sc)
+        states = 1 + sum(e[0] in "UB" for e in events)
         setup = 1 if solver == "spline" else 0  # the spline's statistical dimension
-        assert len(calls) - setup == sum(r.kind == "query" for r in records) > 0
+        assert sum(r.kind == "query" for r in records) == 2 * states
+        assert len(calls) - setup == states
+        # low-rank scoring reduces the factors alone
+        assert set(calls[setup:]) == ({1} if solver == "lowrank" else {2})
+
+    def test_lowrank_with_label_reduces_factors_alone(self, scenario_files, monkeypatch):
+        tmp_path, factor_paths = scenario_files
+        calls = []
+        reduce = bench.kron_reduction
+        monkeypatch.setattr(
+            bench, "kron_reduction", lambda *a: calls.append(len(a)) or reduce(*a)
+        )
+        sc, _ = self._state_scenario(
+            tmp_path, factor_paths, "lowrank", label=str(tmp_path / "b.spvec"),
+            stream=str(tmp_path / "stream.txt"),  # Q U Q B Q: three states
+        )
+        records = replay(sc)
+        assert calls == [1, 1, 1]
+        queries = [r for r in records if r.kind == "query"]
+        # the label event leaves the low-rank optimum as it was
+        assert queries[1].oracle_cost == queries[2].oracle_cost
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    @pytest.mark.parametrize("solver", ["regression", "spline", "lowrank", "baseline"])
+    def test_records_match_per_query_rescoring(self, scenario_files, monkeypatch, solver, oracle):
+        tmp_path, factor_paths = scenario_files
+        sc, _ = self._state_scenario(
+            tmp_path, factor_paths, solver, oracle=oracle, seeds=2
+        )
+
+        def scored(records):
+            return [(r.event, r.kind, r.cost, r.oracle_cost, r.ratio) for r in records]
+
+        kept = scored(replay(sc))
+        query = bench._Run.do_query
+
+        def rescoring_query(run, event):
+            run._scoring = None  # score this query's state from scratch
+            query(run, event)
+
+        monkeypatch.setattr(bench._Run, "do_query", rescoring_query)
+        assert kept == scored(replay(sc))
+        assert sum(k == "query" for _, k, *_ in kept) > 2
+
+    @pytest.mark.parametrize("solver", ["regression", "spline", "lowrank", "baseline"])
+    def test_solver_runs_once_per_query(self, scenario_files, monkeypatch, solver):
+        tmp_path, factor_paths = scenario_files
+        calls = []
+        name = {"regression": "regression_query", "spline": "spline_query",
+                "lowrank": "lowrank_query"}.get(solver)
+        if name is None:
+            query = bench.LeverageBaseline.query
+            monkeypatch.setattr(
+                bench.LeverageBaseline, "query",
+                lambda self: calls.append(1) or query(self),
+            )
+        else:
+            query = getattr(bench, name)
+            monkeypatch.setattr(
+                bench, name, lambda *a: calls.append(1) or query(*a)
+            )
+        sc, events = self._state_scenario(tmp_path, factor_paths, solver, seeds=2)
+        replay(sc)
+        assert len(calls) == 2 * events.count("Q")
+
+    def test_consecutive_baseline_queries_share_the_optimum(self, scenario_files):
+        tmp_path, factor_paths = scenario_files
+        sc, _ = self._state_scenario(tmp_path, factor_paths, "baseline")
+        queries = [r for r in replay(sc) if r.kind == "query"]
+        for first, second in zip(queries[0::2], queries[1::2]):
+            assert first.cost != second.cost  # each query draws fresh rows
+            assert first.oracle_cost == second.oracle_cost
+            assert second.ratio == second.cost / second.oracle_cost
 
     def test_lowrank_solver(self, scenario_files):
         tmp_path, factor_paths = scenario_files

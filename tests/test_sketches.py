@@ -17,6 +17,7 @@ from kronsketch.sketches import (
     TensorFamily,
     TensorSketchSpec,
     _base_internals,
+    _distinct_rows,
     _hash_apply,
     _hash_matrix,
     _hash_slots,
@@ -97,7 +98,31 @@ class TestCountSketch:
         assert np.array_equal(apply_base(spec, np.zeros((5, 2))), np.zeros((4, 2)))
 
 
+def _distinct_rows_reference(rng, n, m, s):
+    """Floyd's algorithm with the collision test reduced along each row's
+    earlier columns: the draw that ``_distinct_rows`` must reproduce."""
+    rows = np.empty((n, s), dtype=np.int64)
+    for k, j in enumerate(range(m - s, m)):
+        t = rng.integers(0, j + 1, size=n)
+        rows[:, k] = np.where((rows[:, :k] == t[:, None]).any(axis=1), j, t)
+    return rows
+
+
 class TestOsnap:
+    @pytest.mark.parametrize(
+        "n, m, s",
+        [(1, 1, 1), (1, 7, 3), (1, 6, 6), (50, 9, 1), (50, 9, 9), (300, 16, 5),
+         (4096, 1024, 8)],
+    )
+    def test_draw_matches_reference(self, n, m, s):
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = _distinct_rows(rng, n, m, s)
+            assert np.array_equal(rows, _distinct_rows_reference(ref_rng, n, m, s))
+            assert rows.flags.c_contiguous and rows.shape == (n, s)
+            # the generator is left where the reference leaves it
+            assert rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)
+
     def test_exactly_s_nonzeros_per_column(self):
         spec = BaseSketchSpec(BaseFamily.OSNAP, 7, 9, 4, 5)
         Z = materialize(spec)
