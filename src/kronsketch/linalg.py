@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 # Allocation guard for explicit products and materialized sketches.
@@ -281,28 +280,3 @@ def numerical_rank(s: np.ndarray, shape) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > max(shape) * np.finfo(np.float64).eps * s[0]))
-
-
-def sym_generalized_eigs(P, Q) -> np.ndarray:
-    """Eigenvalues of the pencil P x = mu Q x for symmetric P, SPD Q.
-
-    Returned in descending order. Raises RegularizationError when the
-    Cholesky factorization of Q fails (Q not positive definite).
-    """
-    P = as_matrix(P)
-    Q = as_matrix(Q)
-    if P.shape != Q.shape or P.shape[0] != P.shape[1]:
-        raise DimensionError("P and Q must be square and same size")
-    scale = max(np.abs(P).max(initial=0.0), np.abs(Q).max(initial=0.0), 1.0)
-    if not np.allclose(P, P.T, atol=1e-10 * scale) or not np.allclose(
-        Q, Q.T, atol=1e-10 * scale
-    ):
-        raise ValueError("P and Q must be symmetric")
-    try:
-        w = scipy.linalg.eigh(P, Q, eigvals_only=True)
-    except np.linalg.LinAlgError as err:
-        raise RegularizationError(
-            "Q is not positive definite; regularize Q (e.g. add a small "
-            "multiple of the identity) before calling"
-        ) from err
-    return np.ascontiguousarray(w[::-1])

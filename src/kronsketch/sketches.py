@@ -231,6 +231,12 @@ def _hash_matrix(rows, sign, m) -> sparse.csc_array:
     ``rows`` and ``sign`` are (n, s). Every column holds s entries, so the
     column pointers are a plain arange and nothing is sorted: ``indices`` and
     ``data`` read as (n, s) give each column's rows and values.
+
+    A sketch of A is the sparse product ``S @ A``, one pass over S's
+    nonzeros. The CSC kernel adds each output row's terms in ascending input
+    row j, so with s = 1 (CountSketch, TensorSketch sides) every sum runs in
+    the order of a scatter over j and is bit for bit the same. With s > 1
+    the terms are scaled by 1/sqrt(s) before they are summed.
     """
     n, s = rows.shape
     return sparse.csc_array(
@@ -243,17 +249,6 @@ def _hash_slots(S: sparse.csc_array):
     """Rows and values of a hashing sketch's columns, each as an (n, s) array."""
     n = S.shape[1]
     return S.indices.reshape(n, -1), S.data.reshape(n, -1)
-
-
-def _hash_apply(S: sparse.csc_array, A) -> np.ndarray:
-    """Hashing sketch of A as the sparse product S @ A, one pass over S's nonzeros.
-
-    The CSC kernel adds each output row's terms in ascending input row j, so
-    with s = 1 (CountSketch, TensorSketch sides) every sum runs in the order
-    of a scatter over j and is bit for bit the same. With s > 1 the terms are
-    scaled by 1/sqrt(s) before they are summed.
-    """
-    return S @ A
 
 
 def _srht_rows(padded, dsign, rows, A, work: HadamardWork | None = None) -> np.ndarray:
@@ -283,7 +278,7 @@ def apply_base(spec: BaseSketchSpec, A) -> np.ndarray:
             f"A has {A.shape[0]} rows, spec expects {spec.input_dim}"
         )
     if spec.family is not BaseFamily.SRHT:
-        return _hash_apply(_base_internals(spec)[0], A)
+        return _base_internals(spec)[0] @ A
     padded, dsign, rows = _base_internals(spec)
     # sqrt(padded/m) rescale times the 1/sqrt(padded) Hadamard normalization
     return _srht_rows(padded, dsign, rows, A) / math.sqrt(rows.size)
@@ -357,7 +352,7 @@ def _tensor_side(
     its two transformed sides.
     """
     if spec.family is TensorFamily.TENSOR_SKETCH:
-        return np.fft.rfft(_hash_apply(_tensor_internals(spec)[k], U), axis=0)
+        return np.fft.rfft(_tensor_internals(spec)[k] @ U, axis=0)
     padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
     dsign, rows = (d1, i_rows) if k == 0 else (d2, j_rows)
     return _srht_rows(padded, dsign, rows, U, work)
@@ -516,7 +511,7 @@ _M_RULES = {
 def choose_m(
     c_family: BaseFamily,
     t_family: TensorFamily,
-    fundamental_dim: int,
+    fundamental_dim: float,
     q: int,
     eps: float,
     delta: float,
@@ -528,7 +523,8 @@ def choose_m(
 
     ``fundamental_dim`` is the problem's effective dimension: the total
     column count for regression, the target rank for low-rank
-    approximation, the statistical dimension for the spline route.
+    approximation, the statistical dimension for the spline route (any
+    positive real: a ridge penalty's falls below 1 as lam grows).
     ``eps_exponent=2`` gives the subspace-embedding scaling; the spline
     pipeline uses ``eps_exponent=1`` (approximate-matrix-product scaling).
     The unknown leading constant is exposed as ``c_factor``.
@@ -537,10 +533,10 @@ def choose_m(
     t_family = TensorFamily(t_family)
     if not (0.0 < eps <= 1.0 and 0.0 < delta < 1.0):
         raise ValueError("need 0 < eps <= 1 and 0 < delta < 1")
-    if fundamental_dim < 1 or q < 1:
-        raise ValueError("fundamental_dim and q must be >= 1")
-    if c_factor <= 0.0:
-        raise ValueError("c_factor must be positive")
+    if not (0.0 < fundamental_dim < math.inf and q >= 1):
+        raise ValueError("need 0 < fundamental_dim < inf and q >= 1")
+    if not 0.0 < c_factor < math.inf:
+        raise ValueError(f"c_factor must be finite and positive, got {c_factor}")
     if eps_exponent not in (1, 2):
         raise ValueError("eps_exponent must be 1 or 2")
     rule = _M_RULES.get((c_family, t_family))

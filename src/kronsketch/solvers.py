@@ -26,7 +26,6 @@ from .linalg import (
     kron_chain,
     least_squares,
     numerical_rank,
-    sym_generalized_eigs,
     thin_svd,
 )
 from .sketches import ConfigurationError
@@ -40,7 +39,7 @@ _RANK_CONDITION = (
 
 @dataclass(frozen=True)
 class SplineSpec:
-    """Penalty matrix L (p x d) and nonnegative weight lam.
+    """Penalty matrix L (p x d) and finite nonnegative weight lam.
 
     The penalized objective is ||A x - b||^2 + lam * ||L x||^2. The
     statistical-dimension computation additionally requires L to have full
@@ -52,8 +51,8 @@ class SplineSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "L", as_matrix(self.L))
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
     @property
     def p(self) -> int:
@@ -112,14 +111,12 @@ def spline_query(tree: TensorTree, b_sketch, spline: SplineSpec) -> np.ndarray:
 
 
 def statistical_dimension(A, spline: SplineSpec) -> float:
-    """Effective degrees of freedom of the penalized problem.
+    """Effective degrees of freedom of the penalized problem,
+    sd = tr(A (A.T A + lam L.T L)^{-1} A.T) (Avron, Clarkson and Woodruff 2017).
 
-    Equals sum_i gamma_i^2 / (gamma_i^2 + lam) + d - p, where gamma_i^2
-    are the p finite generalized eigenvalues of the pencil (A.T A, L.T L).
-    Those are obtained by reducing the pencil onto the row space of L: the
-    null-space block of A.T A is eliminated through its Schur complement
-    (A couples the two subspaces in general), and the reduced symmetric
-    definite pencil goes to sym_generalized_eigs.
+    With the thin QR [A; sqrt(lam) L] = [Q_A; Q_L] R, A.T A + lam L.T L =
+    R.T R, so sd = ||A R^{-1}||_F^2 = ||Q_A||_F^2. The rank checks read the
+    unscaled [A; L].
     """
     A = as_matrix(A)
     L = spline.L
@@ -128,30 +125,15 @@ def statistical_dimension(A, spline: SplineSpec) -> float:
     p = L.shape[0]
     if L.shape[1] != d:
         raise DimensionError(f"L has {L.shape[1]} cols, A has {d}")
-    _, sL, VfullT = np.linalg.svd(L, full_matrices=True)
-    if numerical_rank(sL, L.shape) < p:
+    if numerical_rank(np.linalg.svd(L, compute_uv=False), L.shape) < p:
         raise RegularizationError(_RANK_CONDITION)
     s_stack = np.linalg.svd(np.vstack([A, L]), compute_uv=False)
     if numerical_rank(s_stack, (A.shape[0] + p, d)) < d:
         raise RegularizationError(_RANK_CONDITION)
     if lam == 0.0:
         return float(d)
-    G = A.T @ A
-    V = VfullT[:p].T
-    if p == d:
-        P_red = G
-        Q_red = L.T @ L
-    else:
-        W = VfullT[p:].T
-        gvv = V.T @ G @ V
-        gvw = V.T @ G @ W
-        gww = W.T @ G @ W
-        P_red = gvv - gvw @ np.linalg.solve(gww, gvw.T)
-        Q_red = V.T @ (L.T @ L) @ V
-    P_red = (P_red + P_red.T) / 2.0
-    Q_red = (Q_red + Q_red.T) / 2.0
-    gamma_sq = np.clip(sym_generalized_eigs(P_red, Q_red), 0.0, None)
-    return float(np.sum(gamma_sq / (gamma_sq + lam)) + d - p)
+    Q = np.linalg.qr(np.vstack([A, math.sqrt(lam) * L]))[0]
+    return float(np.sum(Q[: A.shape[0]] ** 2))
 
 
 def lowrank_query(tree: TensorTree, k: int) -> LowRankResult:

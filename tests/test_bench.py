@@ -665,6 +665,27 @@ class TestCli:
         assert len(printed) == len(written) > 1
         assert without_wall(printed) == without_wall(written)
 
+    def test_ridge_spline_with_large_lambda(self, scenario_files, tmp_path):
+        # L = I makes the statistical dimension fall below 1 as lam grows
+        files_tmp, factor_paths = scenario_files
+        save_matrix(files_tmp / "I.kmat", np.eye(4))
+        (files_tmp / "q.txt").write_text("Q\n")
+        out = tmp_path / "ridge.csv"
+        main([
+            "--factors", *factor_paths,
+            "--label", str(files_tmp / "b.spvec"),
+            "--solver", "spline",
+            "--spline-L", str(files_tmp / "I.kmat"),
+            "--lambda", "1e6",
+            "--cbase", "osnap",
+            "--tbase", "tensorsrht",
+            "--stream", str(files_tmp / "q.txt"),
+            "--oracle",
+            "--out", str(out),
+        ])
+        (query,) = [r for r in read_report(out) if r.kind == "query"]
+        assert query.ratio >= 1.0
+
     def test_seeds_flag(self, scenario_files, tmp_path):
         files_tmp, factor_paths = scenario_files
         out = tmp_path / "agg.csv"

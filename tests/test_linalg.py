@@ -12,14 +12,12 @@ from kronsketch import sketches
 from kronsketch.linalg import (
     DimensionError,
     HadamardWork,
-    RegularizationError,
     SparseVector,
     _bit_parity_sign,
     kron,
     kron_chain,
     kron_rows_dot,
     least_squares,
-    sym_generalized_eigs,
     thin_svd,
 )
 from kronsketch.tree import TensorTree, TreeConfig
@@ -422,39 +420,6 @@ class TestThinSvd:
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
         assert np.allclose(U.T @ U, np.eye(4), atol=1e-10)
         assert np.allclose(V.T @ V, np.eye(4), atol=1e-10)
-
-
-class TestSymGeneralizedEigs:
-    def test_identity_pencil(self):
-        assert np.allclose(sym_generalized_eigs(np.eye(3), np.eye(3)), np.ones(3))
-
-    def test_diagonal_pencils(self):
-        assert np.allclose(
-            sym_generalized_eigs(np.diag([4.0, 1.0]), np.eye(2)), [4.0, 1.0]
-        )
-        assert np.allclose(
-            sym_generalized_eigs(np.diag([4.0, 1.0]), np.diag([2.0, 1.0])),
-            [2.0, 1.0],
-        )
-
-    def test_matches_whitened_svd(self):
-        # oracle: eigenvalues of Q^(-1/2) P Q^(-1/2)
-        X = RNG.standard_normal((6, 4))
-        P = X.T @ X
-        Y = RNG.standard_normal((7, 4))
-        Q = Y.T @ Y + 0.5 * np.eye(4)
-        qw, qv = np.linalg.eigh(Q)
-        Q_isqrt = qv @ np.diag(qw**-0.5) @ qv.T
-        expected = np.linalg.eigvalsh(Q_isqrt @ P @ Q_isqrt)[::-1]
-        assert np.allclose(sym_generalized_eigs(P, Q), expected, atol=1e-9)
-
-    def test_indefinite_q_rejected(self):
-        with pytest.raises(RegularizationError):
-            sym_generalized_eigs(np.eye(2), np.diag([1.0, -1.0]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            sym_generalized_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
 class TestSparseVector:

@@ -18,7 +18,6 @@ from kronsketch.sketches import (
     TensorSketchSpec,
     _base_internals,
     _distinct_rows,
-    _hash_apply,
     _hash_matrix,
     _hash_slots,
     _tensor_internals,
@@ -90,7 +89,7 @@ class TestCountSketch:
         # both coordinates hash to output row 0 with opposite signs
         h = np.array([[0], [0]])
         sign = np.array([[1.0], [-1.0]])
-        out = _hash_apply(_hash_matrix(h, sign, 3), np.eye(2))
+        out = _hash_matrix(h, sign, 3) @ np.eye(2)
         assert np.array_equal(out, [[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_zero_matrix(self):
@@ -451,9 +450,10 @@ class TestChooseM:
         assert m1 == math.ceil(m2 / 2)
 
     def test_fractional_dimension_accepted(self):
-        # statistical dimensions are real valued
-        m = choose_m(BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, 2.5, 2, 0.5, 0.1)
-        assert m == math.ceil(0.5**-2 * 2 * 2.5**2 * math.log(10))
+        # statistical dimensions are real valued, and a ridge's falls below 1
+        for dim in (2.5, 0.3):
+            m = choose_m(BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, dim, 2, 0.5, 0.1)
+            assert m == math.ceil(0.5**-2 * 2 * dim**2 * math.log(10))
 
     def test_unsupported_pair(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -463,8 +463,12 @@ class TestChooseM:
     def test_bad_ranges(self):
         with pytest.raises(ValueError):
             choose_m(BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, 4, 2, 1.5, 0.1)
-        with pytest.raises(ValueError):
-            choose_m(BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, 4, 2, 0.5, 0.1, -1.0)
+        for c_factor in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_factor"):
+                choose_m(BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, 4, 2, 0.5, 0.1, c_factor)
+        for dim, q in [(0.0, 2), (-1.0, 2), (math.nan, 2), (math.inf, 2), (4, 0)]:
+            with pytest.raises(ValueError, match="fundamental_dim"):
+                choose_m(BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, dim, q, 0.5, 0.1)
 
 
 PAIRS = [

@@ -173,6 +173,14 @@ class TestStatisticalDimension:
     def test_hand_example(self):
         sd = statistical_dimension(np.diag([2.0, 1.0]), SplineSpec(np.eye(2), 1.0))
         assert abs(sd - 1.3) <= 1e-12
+        # ridge in general: A = diag(a), L = I gives sum a^2 / (a^2 + lam),
+        # which falls below 1 as lam grows
+        a = np.array([3.0, 1.0, 0.5, 1e-2])
+        for lam in (1e-4, 0.3, 1.0, 10.0, 1e3, 1e8):
+            expected = np.sum(a**2 / (a**2 + lam))
+            sd = statistical_dimension(np.diag(a), SplineSpec(np.eye(4), lam))
+            assert abs(sd - expected) <= 1e-14 * max(1.0, expected)
+        assert 0.0 < sd < 1.0
 
     def test_monotone_and_bounded(self):
         A = RNG.standard_normal((12, 5))
@@ -198,19 +206,30 @@ class TestStatisticalDimension:
 
     @pytest.mark.parametrize("n,d,p", [(6, 4, 2), (3, 3, 1), (3, 3, 2), (5, 3, 3)])
     def test_matches_gsvd_reference(self, n, d, p):
-        # independent oracle: QR of the stack, then a CS decomposition of
-        # the penalty block gives gamma^2 = (1 - mu^2) / mu^2
+        # independent oracle: QR of the unweighted stack, then a CS
+        # decomposition of the penalty block gives gamma^2 = (1 - mu^2) / mu^2
         for trial in range(10):
             rng = np.random.default_rng(60 + trial)
-            A = rng.standard_normal((n, d))
-            L = rng.standard_normal((p, d))
-            lam = float(rng.uniform(0.1, 5.0))
-            Q, _ = np.linalg.qr(np.vstack([A, L]))
-            mu = np.linalg.svd(Q[n:], compute_uv=False)
-            gamma_sq = np.sort((1.0 - mu**2) / mu**2)[::-1]
-            expected = np.sum(gamma_sq / (gamma_sq + lam)) + d - p
-            got = statistical_dimension(A, SplineSpec(L, lam))
-            assert abs(got - expected) <= 1e-8
+            A0 = rng.standard_normal((n, d))
+            L0 = rng.standard_normal((p, d))
+            # the draw as is, then badly scaled: A and L by 1e-3 .. 1e3,
+            # lam from 1e-6 to 1e10, the corners included
+            cases = [(1.0, 1.0, float(rng.uniform(0.1, 5.0)))]
+            cases += [tuple(10.0 ** rng.uniform([-3, -3, -6], [3, 3, 10])) for _ in range(4)]
+            cases += [(1e3, 1e-3, 1e10), (1e-3, 1e3, 1e-6), (1e-3, 1e3, 1e10), (1e3, 1e-3, 1e-6)]
+            for a, l, lam in cases:
+                A, L = a * A0, l * L0
+                Q, _ = np.linalg.qr(np.vstack([A, L]))
+                mu = np.linalg.svd(Q[n:], compute_uv=False)
+                gamma_sq = np.sort((1.0 - mu**2) / mu**2)[::-1]
+                expected = np.sum(gamma_sq / (gamma_sq + lam)) + d - p
+                got = statistical_dimension(A, SplineSpec(L, lam))
+                assert abs(got - expected) <= 1e-8, (a, l, lam)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_spline_spec_rejects_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            SplineSpec(np.eye(2), lam)
 
 
 class TestLowRank:
