@@ -174,20 +174,17 @@ def _kept_on_spec(draw):
 
 
 def _distinct_rows(rng: np.random.Generator, n: int, m: int, s: int) -> np.ndarray:
-    """(n, s) array whose row j is a uniform s-subset of range(m).
+    """(n, s) C-contiguous array whose row j is a uniform s-subset of range(m).
 
     Floyd's algorithm on all n rows at once: for j = m - s .. m - 1 draw t
-    in [0, j] per row and keep t, or j if the row already holds t.
+    in [0, j] per row and keep t, or j if the row already holds t. The passes
+    fill an (s, n) array, so each is one comparison against the rows so far.
     """
-    rows = np.empty((n, s), dtype=np.int64)
-    taken = np.empty(n, dtype=bool)
+    rows = np.empty((s, n), dtype=np.int64)
     for k, j in enumerate(range(m - s, m)):
         t = rng.integers(0, j + 1, size=n)
-        taken.fill(False)
-        for r in range(k):
-            taken |= rows[:, r] == t
-        rows[:, k] = np.where(taken, j, t)
-    return rows
+        rows[k] = np.where((rows[:k] == t).any(0), j, t)
+    return np.ascontiguousarray(rows.T)
 
 
 @_kept_on_spec

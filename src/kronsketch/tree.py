@@ -34,10 +34,27 @@ A tree is single-writer: updates need exclusive access, while any number of
 threads may read (root, sketch_vector, queries) between updates.
 ``sketch_vector`` shares its folded chunks with one module-level helper
 thread, which only reads the tree; a forked child starts its own.
+
+The same helper draws an adaptive tree's next path ahead. Every spec is a
+pure function of the config seed, its row count and its draw index, and the
+next update's indices are known once an update commits. So a committed
+``update_adaptive`` (on two or more CPUs) queues ``_path_specs`` for the
+next index k: the leaf spec of k (only when all factors share one row
+count, so that it fits whichever leaf comes next), the node specs of
+k + 1 .. k + depth, and the internals of each. The next ``update_adaptive``
+takes that draw if it was made for k by this process: a forked child never
+waits on its parent's helper. It waits for a running draw, but cancels a
+still queued one (say, behind a label's lane) and draws inline with the
+same function, as it does when the draw raised, so an error surfaces from
+the update itself. Its own critical path is then the leaf's sparse product,
+the refold and the commit check. Build and load draw nothing ahead. A failed
+update leaves the pending draw in place for its retry. Trees, draw indices
+and snapshots are bit for bit those of drawing inline.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -63,7 +80,9 @@ from .sketches import (
     ConfigurationError,
     TensorFamily,
     TensorSketchSpec,
+    _base_internals,
     _check_int,
+    _tensor_internals,
     apply_base,
     apply_tensor_cols,
     apply_tensor_pair,
@@ -122,12 +141,25 @@ class TreeConfig:
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, MAX_SEED))
 
 
+@functools.lru_cache(maxsize=16)
+def _seed_state(seed: int) -> dict:
+    """Initial PCG64 state of ``default_rng(seed)``, seeded once per config seed."""
+    return np.random.PCG64(seed).state
+
+
+_draw_bits = threading.local()  # one PCG64 per thread, reset by every draw
+
+
 def _draw_seed(seed: int, k: int) -> int:
     """Seed of spec draw k: the k-th ``integers(0, 1 << 63)`` of ``default_rng(seed)``,
-    computed alone by jump-ahead, as each such draw takes one 64-bit output."""
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(k)
-    return int(rng.integers(0, 1 << 63))
+    computed alone by jump-ahead. Each such draw is one 64-bit output shifted
+    right by one bit (Lemire's bounded draw never rejects at a range of 2**63)."""
+    bits = getattr(_draw_bits, "pcg", None)
+    if bits is None:
+        bits = _draw_bits.pcg = np.random.PCG64()
+    bits.state = _seed_state(seed)
+    bits.advance(k)
+    return int(bits.random_raw()) >> 1
 
 
 def _fold(nodes, combine):
@@ -186,6 +218,7 @@ class TensorTree:
             )
         self.generation = 0
         self.recompute_counter = 0
+        self._ahead = None  # (index k, pid, future of _path_specs) or None
 
     # ------------------------------------------------------------------
     # structure helpers
@@ -236,6 +269,48 @@ class TensorTree:
     def _node_spec(self, k: int) -> TensorSketchSpec:
         cfg = self.config
         return TensorSketchSpec(cfg.t_family, cfg.m, cfg.m, _draw_seed(cfg.seed, k))
+
+    def _path_specs(self, k: int, n: int | None, count: int):
+        """The leaf spec of draw index k for n rows (None for no n) and the node
+        specs of indices k + 1 .. k + count, each with its internals drawn."""
+        leaf = None
+        if n is not None:
+            leaf = self._leaf_spec(n, k)
+            _base_internals(leaf)
+        nodes = [self._node_spec(j) for j in range(k + 1, k + 1 + count)]
+        for spec in nodes:
+            _tensor_internals(spec)
+        return leaf, nodes
+
+    def _take_path_specs(self, k: int, n: int, count: int):
+        """``_path_specs(k, n, count)``, from the helper's draw where it can be used."""
+        drawn = None
+        ahead = self._ahead
+        if ahead is not None and ahead[:2] == (k, os.getpid()) and not ahead[2].cancel():
+            try:
+                drawn = ahead[2].result()  # waits if the draw is running
+            except Exception:  # drawn again below, so that the error surfaces here
+                pass
+        if drawn is None:
+            return self._path_specs(k, n, count)
+        leaf, nodes = drawn
+        if leaf is None:  # factors of unequal row counts
+            leaf = self._path_specs(k, n, 0)[0]
+        return leaf, nodes[:count]
+
+    def _draw_ahead(self) -> None:
+        """Queue the next adaptive update's path draws on the helper thread."""
+        k = max(self.draws) + 1
+        self._ahead = None
+        if k + self.depth >= MAX_SEED or _usable_cpus() < 2:
+            return
+        rows = {f.shape[0] for f in self.factors}
+        n = rows.pop() if len(rows) == 1 else None
+        try:
+            future = _worker.submit(self._path_specs, k, n, self.depth)
+        except RuntimeError:  # the interpreter is exiting: the next update draws inline
+            return
+        self._ahead = (k, os.getpid(), future)
 
     # ------------------------------------------------------------------
     # construction
@@ -304,7 +379,9 @@ class TensorTree:
         where the update landed. The indices are stored only once the refold
         has committed, so a call that raises leaves the next seed unchanged.
         A call whose new indices would not fit a snapshot's 64 bits raises
-        before the refold.
+        before drawing them. The specs come from the helper thread's draw
+        ahead where it can be used (see the module docstring); once committed,
+        the call queues the draw for the next update.
         """
         if not self.config.adaptive:
             raise ConfigurationError(
@@ -313,19 +390,22 @@ class TensorTree:
         factors = self._updated_factors(i, B)
         draws = list(self.draws)
         draws[i] = k = max(draws) + 1
+        path = [  # bottom-up
+            (slot, key) for slot, key in enumerate(_node_keys(self.q), self.q) if i >> key[0] == key[1]
+        ]
+        if k + len(path) >= MAX_SEED:
+            raise ValueError(f"spec draw index {k + len(path)} does not fit in 64 bits")
         leaf_specs = list(self.leaf_specs)
-        leaf_specs[i] = self._leaf_spec(factors[i].shape[0], k)
+        leaf_specs[i], nodes = self._take_path_specs(k, factors[i].shape[0], len(path))
         node_specs = dict(self.node_specs)
-        for slot, (level, node) in enumerate(_node_keys(self.q), self.q):  # bottom-up
-            if i >> level == node:
-                draws[slot] = k = k + 1
-                node_specs[level, node] = self._node_spec(k)
-        if k >= MAX_SEED:
-            raise ValueError(f"spec draw index {k} does not fit in 64 bits")
+        for j, ((slot, key), spec) in enumerate(zip(path, nodes), k + 1):
+            draws[slot] = j
+            node_specs[key] = spec
         self._refold({i}, factors, leaf_specs, node_specs)
         self.draws = draws
         self.recompute_counter = len(self.levels)
         self.generation += 1
+        self._draw_ahead()
 
     # ------------------------------------------------------------------
     # sketching vectors

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -198,6 +199,39 @@ class TestDrawSeed:
         rng = np.random.default_rng(seed)
         for k in range(500):
             assert _draw_seed(seed, k) == int(rng.integers(0, 1 << 63))
+
+    def test_matches_jump_ahead_reference_from_two_threads(self):
+        def reference(seed, k):
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance(k)
+            return int(rng.integers(0, 1 << 63))
+
+        cases = [
+            (seed, k) for seed in (0, 5, 2**63 + 9)
+            for k in [*range(40), 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+        ]
+        expected = [reference(seed, k) for seed, k in cases]
+        start = threading.Barrier(2)
+        results = [[], []]
+
+        def draw(out):
+            start.wait(timeout=30)
+            for _ in range(5):
+                out.append([_draw_seed(seed, k) for seed, k in cases])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=draw, args=(out,)) for out in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(got == expected for out in results for got in out)
+        assert all(len(out) == 5 for out in results)
 
     def test_build_uses_the_first_indices(self):
         tree = TensorTree(random_factors(5), TreeConfig(m=4, seed=30))
@@ -409,10 +443,11 @@ class TestFailedUpdate:
             tree.update_adaptive(q - 1, rng.standard_normal((2, 2)))
         i = q // 2
         B = self._overflow(tree, case, i)
-        before = tree_state(tree)
+        before, ahead = tree_state(tree), tree._ahead
         with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
             (tree.update_adaptive if adaptive else tree.update)(i, B)
         assert_same_state(before, tree_state(tree))
+        assert tree._ahead is ahead  # a pending draw stays for the retry
         # the tree still works: a finite update lands as usual
         tree.update(i, rng.standard_normal((2, 2)))
         check_nodes_exact(tree)
@@ -778,6 +813,203 @@ class TestLabelLanes:
             os.waitpid(pid, 0)
             pytest.fail("sketch_vector hung in a forked child")
         assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+class InlineWorker:
+    """Stands in for the helper thread's executor: runs each task at submit."""
+
+    @staticmethod
+    def submit(fn, *args):
+        future = futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestDrawAhead:
+    """A committed adaptive update has the helper thread draw the next path's specs."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @staticmethod
+    def ops(rng, rows, steps=10):
+        """Seeded updates, some of which raise: (kind, i, B)."""
+        q, out = len(rows), []
+        for step in range(steps):
+            i = int(rng.integers(0, q))
+            B = rng.standard_normal((rows[i], 2))
+            kind = ("adaptive", "adaptive", "static", "shape", "nonfinite", "index")[
+                int(rng.integers(0, 6))] if step else "adaptive"
+            if kind == "shape":
+                B = B[:, :1]
+            elif kind == "nonfinite":
+                B[0, 0] = np.inf
+            elif kind == "index":
+                i = q
+            out.append((kind, i, B))
+        return out
+
+    @staticmethod
+    def drive(tree, ops):
+        for kind, i, B in ops:
+            if kind == "static":
+                tree.update(i, B)
+            elif kind == "adaptive":
+                tree.update_adaptive(i, B)
+            else:
+                ahead = tree._ahead
+                error = {"shape": DimensionError, "nonfinite": ValueError,
+                         "index": IndexError}[kind]
+                with pytest.raises(error):
+                    tree.update_adaptive(i, B)
+                assert tree._ahead is ahead  # kept for the retry
+        return tree
+
+    @staticmethod
+    def snapshot(tree, path):
+        tree.save(path)
+        return (path.read_bytes(), tree.draws, tree.generation,
+                [[node.tobytes() for node in level] for level in tree.levels])
+
+    @pytest.mark.parametrize("pair", FAMILY_PAIRS, ids=lambda p: "-".join(f.value for f in p))
+    @pytest.mark.parametrize("q", [1, 2, 3, 5])
+    @pytest.mark.parametrize("equal_rows", [True, False])
+    def test_matches_inline_draws(self, pair, q, equal_rows, monkeypatch, tmp_path):
+        rng = np.random.default_rng(q * 10 + equal_rows)
+        rows = [6] * q if equal_rows else [int(r) for r in rng.integers(3, 9, size=q)]
+        factors = [rng.standard_normal((r, 2)) for r in rows]
+        config = TreeConfig(*pair, m=8, adaptive=True, seed=q + 100)
+        ops = self.ops(rng, rows)
+        tree = TensorTree(factors, config)
+        assert tree._ahead is None  # nothing is drawn ahead at build
+        helper = self.snapshot(self.drive(tree, ops), tmp_path / "helper.kttr")
+        assert tree._ahead is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_module, "_worker", InlineWorker)
+            tree = TensorTree(factors, config)
+            for op in ops:  # each drawn-ahead spec is the one the update takes
+                ahead = tree._ahead
+                self.drive(tree, [op])
+                if ahead is not None and op[0] == "adaptive":
+                    leaf, nodes = ahead[2].result()
+                    assert (tree.leaf_specs[op[1]] is leaf) == (len(set(rows)) == 1)
+                    assert set(map(id, nodes)) >= {
+                        id(s) for key, s in tree.node_specs.items() if op[1] >> key[0] == key[1]}
+            inline = self.snapshot(tree, tmp_path / "inline.kttr")
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_module, "_usable_cpus", lambda: 1)
+            tree = self.drive(TensorTree(factors, config), ops)
+            assert tree._ahead is None
+            alone = self.snapshot(tree, tmp_path / "alone.kttr")
+        assert helper == inline == alone
+        loaded = TensorTree.load(tmp_path / "helper.kttr")
+        assert loaded._ahead is None  # nor at load
+
+    def reference(self, monkeypatch, factors, config, ops):
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_module, "_usable_cpus", lambda: 1)
+            return self.drive(TensorTree(factors, config), ops)
+
+    def small_case(self, seed):
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal((6, 2)) for _ in range(3)]
+        config = TreeConfig(BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, m=8, adaptive=True, seed=seed)
+        return factors, config, [("adaptive", i, rng.standard_normal((6, 2))) for i in (0, 2, 1)]
+
+    def test_raising_draw_falls_back_inline(self, monkeypatch):
+        factors, config, ops = self.small_case(60)
+        expected = self.reference(monkeypatch, factors, config, ops)
+        path_specs = TensorTree._path_specs
+
+        def failing(self, *args):
+            if on_worker():
+                raise FloatingPointError("draw failed")
+            return path_specs(self, *args)
+
+        monkeypatch.setattr(TensorTree, "_path_specs", failing)
+        tree = self.drive(TensorTree(factors, config), ops[:1])
+        future = tree._ahead[2]
+        assert isinstance(future.exception(timeout=30), FloatingPointError)
+        self.drive(tree, ops[1:])
+        check_nodes_exact(tree)
+        assert tree.draws == expected.draws
+        for la, lb in zip(tree.levels, expected.levels, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(la, lb, strict=True))
+
+    def test_queued_draw_is_cancelled_and_drawn_inline(self, monkeypatch):
+        factors, config, ops = self.small_case(61)
+        expected = self.reference(monkeypatch, factors, config, ops)
+        tree = TensorTree(factors, config)
+        release = threading.Event()
+        blocker = tree_module._worker.submit(release.wait, 30)  # holds the helper thread
+        try:
+            self.drive(tree, ops[:2])  # the second update finds its draw queued
+            future = tree._ahead[2]
+            self.drive(tree, ops[2:])
+            assert future.cancelled()
+        finally:
+            release.set()
+            blocker.result(timeout=30)
+        assert tree.draws == expected.draws
+        for la, lb in zip(tree.levels, expected.levels, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(la, lb, strict=True))
+
+    def test_update_at_interpreter_exit_draws_inline(self, monkeypatch):
+        # an executor refuses new work once the interpreter exits; the update
+        # has committed by then, so it must not raise
+        class Refusing:
+            @staticmethod
+            def submit(fn, *args):
+                raise RuntimeError("cannot schedule new futures after interpreter shutdown")
+
+        factors, config, ops = self.small_case(63)
+        expected = self.reference(monkeypatch, factors, config, ops)
+        monkeypatch.setattr(tree_module, "_worker", Refusing)
+        tree = self.drive(TensorTree(factors, config), ops)
+        assert tree._ahead is None
+        assert tree.draws == expected.draws and tree.generation == expected.generation
+        assert np.array_equal(tree.root, expected.root)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_inline(self, monkeypatch):
+        factors, config, ops = self.small_case(62)
+        expected = self.reference(monkeypatch, factors, config, ops[:2]).root
+        started, release = threading.Event(), threading.Event()
+        path_specs = TensorTree._path_specs
+
+        def held(self, *args):
+            if on_worker():
+                started.set()
+                release.wait(timeout=30)
+            return path_specs(self, *args)
+
+        monkeypatch.setattr(TensorTree, "_path_specs", held)
+        tree = self.drive(TensorTree(factors, config), ops[:1])
+        try:
+            assert started.wait(timeout=30)  # the draw for ops[1] is running
+            pid = os.fork()
+            if pid == 0:  # child: never return into the test runner
+                code = 1
+                try:
+                    tree.update_adaptive(*ops[1][1:])
+                    code = 0 if np.array_equal(tree.root, expected) else 2
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 5
+            while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if status[0] == 0:  # still running: the child waits on the parent's draw
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("update_adaptive hung in a forked child")
+            assert os.waitstatus_to_exitcode(status[1]) == 0
+        finally:
+            release.set()
+            tree._ahead[2].result(timeout=30)
 
 
 class TestMaterializeSketch:
