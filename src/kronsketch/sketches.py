@@ -36,7 +36,11 @@ forming the long vector:
   one of H D2 v (H the unnormalized +-1 Hadamard matrix on the padded
   side, applied by the same GEMMs), scaled by 1/sqrt(m_out). A column's
   transform is bit for bit the same whatever columns come with it, so the
-  matched-column combine is the pair combine's diagonal exactly.
+  matched-column combine is the pair combine's diagonal exactly. Hashing
+  leaf columns may come as rows and signs (``hash_columns``); their side is
+  then an s-term sum of Kronecker products of two halves of H (Sylvester),
+  one batched product of +-1 entries with exact integer sums, not a GEMM
+  over a block of zeros.
 
 Every spec is an immutable value; the sparse hashing matrices and the
 sign/sampling internals are a pure function of (spec fields, seed),
@@ -54,6 +58,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -322,6 +327,30 @@ def countsketch_columns(spec: BaseSketchSpec, indices) -> tuple[np.ndarray, np.n
     return S.indices[idx], S.data[idx]
 
 
+class HashColumns(NamedTuple):
+    """Hashing-sketch columns in sparse form: column t, of length m, is
+    ``sum_k signs[t, k] * e_{rows[t, k]} / sqrt(s)``, both arrays (t, s)."""
+
+    rows: np.ndarray
+    signs: np.ndarray
+    m: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the dense block ``base_columns`` would give."""
+        return self.m, self.rows.shape[0]
+
+
+def hash_columns(spec: BaseSketchSpec, indices) -> HashColumns:
+    """``base_columns(spec, indices)`` of a CountSketch or OSNAP spec, as its
+    rows and signs, in O(s) per column at any m."""
+    if spec.family is BaseFamily.SRHT:
+        raise ConfigurationError("srht columns are dense")
+    idx = _column_indices(spec, indices)
+    rows, vals = _hash_slots(_base_internals(spec)[0])
+    return HashColumns(rows[idx], np.sign(vals[idx]), spec.output_dim)
+
+
 def tensorsketch_cols(spec: TensorSketchSpec, left, right) -> tuple[np.ndarray, np.ndarray]:
     """``apply_tensor_cols`` on one-hot columns given as (rows, signs) pairs.
 
@@ -345,14 +374,53 @@ def _tensor_side(
     TensorSketch count-sketches with side k's sparse hashing matrix and
     takes the rfft; TensorSRHT sign-flips with side k's diagonal, runs the
     Hadamard transform (in ``work``, see ``_srht_rows``), and samples side
-    k's rows. A Kronecker column then sketches to the finished product of
-    its two transformed sides.
+    k's rows; on ``HashColumns`` it takes their Kronecker split instead
+    (``_hash_side``). A Kronecker column then sketches to the finished
+    product of its two transformed sides.
     """
+    sparse_input = isinstance(U, HashColumns)
     if spec.family is TensorFamily.TENSOR_SKETCH:
+        if sparse_input:
+            raise ConfigurationError("tensorsketch sides take dense columns")
         return np.fft.rfft(_tensor_internals(spec)[k] @ U, axis=0)
     padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
     dsign, rows = (d1, i_rows) if k == 0 else (d2, j_rows)
+    if sparse_input:
+        return _hash_side(padded, dsign, rows, U)
     return _srht_rows(padded, dsign, rows, U, work)
+
+
+@functools.lru_cache(maxsize=16)
+def _hadamard_halves(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H_hi, H_lo) with H_p = H_hi (x) H_lo (Sylvester) and H_lo of side
+    2**(b // 2), b = log2(p). Built once per p, read-only."""
+    lo = 1 << (p.bit_length() - 1) // 2
+    halves = _hadamard_matrix(p // lo), _hadamard_matrix(lo)
+    for h in halves:
+        h.flags.writeable = False
+    return halves
+
+
+def _hash_side(padded, dsign, rows, U: HashColumns) -> np.ndarray:
+    """Sampled rows of H D U for hashing columns, with no dense block.
+
+    Entry k of column t, at row r = U.rows[t, k], maps to the Hadamard
+    column H_hi[:, r // p_lo] (x) H_lo[:, r % p_lo], signed by sigma = its
+    sign times dsign[r]. So column t's transform, as a p_hi x p_lo block, is
+    ``(H_hi[:, r_hi] * sigma) @ H_lo[:, r_lo].T`` over its s entries, and all
+    columns are one batched product of +-1 entries. Its sums are exact
+    integers, whatever columns come along; one scale by 1/sqrt(s) rounds
+    each entry once. The sampled ``rows`` are gathered into an (m, t)
+    C-contiguous block.
+    """
+    t, s = U.rows.shape
+    h_hi, h_lo = _hadamard_halves(padded)
+    p_lo = h_lo.shape[0]
+    sigma = U.signs * dsign[U.rows]
+    left = h_hi[U.rows // p_lo] * sigma[:, :, None]  # (t, s, p_hi), H symmetric
+    Y = np.matmul(left.transpose(0, 2, 1), h_lo[U.rows % p_lo]).reshape(t, padded)
+    Y *= 1.0 / math.sqrt(s)
+    return Y.T[rows]
 
 
 def _tensor_finish(spec: TensorSketchSpec, prod: np.ndarray) -> np.ndarray:
@@ -443,9 +511,12 @@ def apply_tensor_cols(
     that makes many such calls, like a label's chunk loop, can pass one
     ``work`` to all of them, so TensorSRHT's transform buffers are allocated
     once instead of per call; the result does not depend on it.
+
+    Under TensorSRHT either input may be ``HashColumns`` (hashing leaf
+    columns), whose side is an s-term Kronecker sum rather than a Hadamard
+    transform over zeros.
     """
-    U1 = as_matrix(U1)
-    U2 = as_matrix(U2)
+    U1, U2 = (U if isinstance(U, HashColumns) else as_matrix(U) for U in (U1, U2))
     side = spec.side_dim
     if U1.shape[0] != side or U2.shape[0] != side or U1.shape[1] != U2.shape[1]:
         raise DimensionError(

@@ -88,6 +88,7 @@ from .sketches import (
     apply_tensor_pair,
     base_columns,
     countsketch_columns,
+    hash_columns,
     materialize,
     tensorsketch_cols,
     to_frame,
@@ -421,14 +422,19 @@ class TensorTree:
         CountSketch leaves under TensorSketch nodes (or a lone CountSketch
         leaf) keep every column one-hot, so each nonzero is carried as one
         (row, sign) pair and the root is a single signed bincount: O(q nnz)
-        time and memory at any m. Every other family pair folds dense m x
-        chunk column blocks, ``max(1, 2**15 // m)`` nonzeros at a time (about
-        256 KB per block). Two lanes, this thread and the helper thread,
-        each take the next chunk in order (one lane for fewer than two chunks
-        or on one CPU), and each chunk's weighted root columns are added in
-        chunk order, so the result is bit for bit the same whichever lane
-        sketched a chunk. No lane runs ``_AHEAD`` chunks past the next one to
-        add, so memory stays O(m chunk) at any nnz. Each lane keeps one
+        time and memory at any m. Every other family pair folds column
+        chunks. CountSketch or OSNAP leaves under TensorSRHT nodes (q >= 2)
+        enter their first pairing as rows and signs (``hash_columns``), so
+        only the nodes hold m x chunk blocks, ``max(1, 2**16 // m)`` nonzeros
+        at a time (about 512 KB per block). The other folds (SRHT leaves,
+        TensorSketch nodes over OSNAP, a lone leaf) take ``max(1, 2**15 // m)``
+        nonzeros at a time as dense leaf blocks (about 256 KB each). Two lanes,
+        this thread and the helper thread, each take the next chunk in order
+        (one lane for fewer than two chunks, on one CPU, or once the
+        interpreter is exiting), and each chunk's weighted root columns are
+        added in chunk order, so the result is bit for bit the same whichever
+        lane sketched a chunk. No lane runs ``_AHEAD`` chunks past the next one
+        to add, so memory stays O(m chunk) at any nnz. Each lane keeps one
         ``HadamardWork`` for all its TensorSRHT transforms, so its buffers are
         allocated once, not per chunk and node, and freed at return.
         """
@@ -452,14 +458,19 @@ class TensorTree:
                 pass
             rows, signs = cols[0]
             return np.bincount(rows, weights=signs * sv.values, minlength=cfg.m)
-        chunk = max(1, 2**15 // cfg.m)
+        # hashing leaves enter TensorSRHT nodes as rows and signs, not m x chunk blocks
+        sparse_leaves = self.q > 1 and cfg.t_family is TensorFamily.TENSOR_SRHT and (
+            cfg.c_family is not BaseFamily.SRHT
+        )
+        leaf_columns = hash_columns if sparse_leaves else base_columns
+        chunk = max(1, (2**16 if sparse_leaves else 2**15) // cfg.m)
         parts = [slice(start, start + chunk) for start in range(0, sv.nnz, chunk)]
 
         def sketch_chunk(part, work):
             def pair(key, left, right):
                 return apply_tensor_cols(self.node_specs[key], left, right, work=work)
 
-            mats = [base_columns(s, d[part]) for s, d in zip(self.leaf_specs, digits)]
+            mats = [leaf_columns(s, d[part]) for s, d in zip(self.leaf_specs, digits)]
             for mats in _fold(mats, pair):
                 pass
             return mats[0] @ sv.values[part]
@@ -504,14 +515,17 @@ class TensorTree:
                     else:
                         cond.wait()
 
-        future = _worker.submit(lane, HadamardWork(), False)
+        try:
+            future = _worker.submit(lane, HadamardWork(), False)
+        except RuntimeError:  # the interpreter is exiting: this lane takes every chunk
+            future = None
         try:
             lane(HadamardWork(), True)
         finally:
             with cond:  # a caller that raised stops the worker after its chunk
                 taken = len(parts)
                 cond.notify_all()
-            if not future.cancel():  # it left the queue: wait until it returns
+            if future is not None and not future.cancel():  # it left the queue: wait
                 future.result()
         return out
 

@@ -14,6 +14,7 @@ from kronsketch.sketches import (
     BaseFamily,
     BaseSketchSpec,
     ConfigurationError,
+    HashColumns,
     TensorFamily,
     TensorSketchSpec,
     _base_internals,
@@ -28,6 +29,7 @@ from kronsketch.sketches import (
     base_columns,
     choose_m,
     countsketch_columns,
+    hash_columns,
     materialize,
     tensorsketch_cols,
 )
@@ -339,16 +341,21 @@ class TestApplyAgainstMaterialize:
         )
         assert np.allclose(out, expected, atol=1e-10)
 
-    @pytest.mark.parametrize("p", [1, 2, 8, 32, 64, 1024])
+    @pytest.mark.parametrize("p", [1, 2, 8, 32, 64, 1000, 1024])
     def test_tsrht_side_column_independent_of_width(self, p):
         # the matched-column and pair combines see a column with different
-        # neighbours, so a side's column must not depend on them
+        # neighbours, so a side's column must not depend on them; nor may a
+        # hashing leaf's column in a label chunk
         spec = TensorSketchSpec(TensorFamily.TENSOR_SRHT, p, 16, 25)
         U = RNG.standard_normal((p, 80))
+        H = hash_columns(BaseSketchSpec(BaseFamily.OSNAP, 50, p, min(p, 8), 26),
+                         RNG.integers(0, 50, size=80))
         for k in (0, 1):
-            wide = _tensor_side(spec, U, k)
+            wide, wide_h = _tensor_side(spec, U, k), _tensor_side(spec, H, k)
             for c in range(1, 81):
                 assert np.array_equal(_tensor_side(spec, U[:, :c], k), wide[:, :c]), (k, c)
+                first = H._replace(rows=H.rows[:c], signs=H.signs[:c])
+                assert np.array_equal(_tensor_side(spec, first, k), wide_h[:, :c]), (k, c)
 
     @pytest.mark.parametrize("spec", TENSOR_SPECS)
     def test_tensor_cols(self, spec):
@@ -365,6 +372,19 @@ class TestApplyAgainstMaterialize:
             pair = apply_tensor_pair(spec, U1[:, [t]], U2[:, [t]])
             assert np.array_equal(out[:, [t]], pair)
 
+    @pytest.mark.parametrize("spec", [TENSOR_SPECS[1], TENSOR_SPECS[3]])
+    @pytest.mark.parametrize("family, s", [(BaseFamily.COUNT_SKETCH, 0), (BaseFamily.OSNAP, 3)])
+    def test_tensor_cols_of_hash_columns(self, spec, family, s):
+        leaf = BaseSketchSpec(family, 9, spec.side_dim, s, 27)
+        a, b = RNG.integers(0, 9, size=(2, 5))
+        A, B = base_columns(leaf, a), base_columns(leaf, b)
+        kron_cols = np.column_stack([np.kron(A[:, t], B[:, t]) for t in range(5)])
+        expected = materialize(spec) @ kron_cols
+        # either side, or both, may be given as rows and signs
+        for U1, U2 in [(hash_columns(leaf, a), hash_columns(leaf, b)),
+                       (A, hash_columns(leaf, b)), (hash_columns(leaf, a), B)]:
+            assert np.allclose(apply_tensor_cols(spec, U1, U2), expected, atol=1e-10)
+
     def test_base_dimension_mismatch(self):
         spec = BASE_SPECS[0]
         with pytest.raises(DimensionError):
@@ -374,6 +394,61 @@ class TestApplyAgainstMaterialize:
         spec = TENSOR_SPECS[0]
         with pytest.raises(DimensionError):
             apply_tensor_pair(spec, np.zeros((spec.side_dim, 1)), np.zeros((2, 1)))
+
+
+class TestHashSide:
+    """TensorSRHT sides of hashing leaf columns given as rows and signs."""
+
+    @pytest.mark.parametrize("m", [512, 1000, 1024, 2048, 4096])
+    @pytest.mark.parametrize("s", [1, 2, 3, 8])
+    def test_matches_dense_side(self, m, s):
+        # a CountSketch (s = 1) side is exact either way; an OSNAP dense side
+        # sums s terms of +-1/sqrt(s) in BLAS order, the Kronecker side rounds
+        # each exact integer sum times 1/sqrt(s) once
+        family = BaseFamily.COUNT_SKETCH if s == 1 else BaseFamily.OSNAP
+        leaf = BaseSketchSpec(family, 40, m, s if s > 1 else 0, m + s)
+        node = TensorSketchSpec(TensorFamily.TENSOR_SRHT, m, m, m - s)
+        idx = np.r_[RNG.integers(0, 40, size=30), 7, 7, 7]
+        for cols in (idx, idx[:0], idx[:1]):
+            for k in (0, 1):
+                got = _tensor_side(node, hash_columns(leaf, cols), k)
+                want = _tensor_side(node, base_columns(leaf, cols), k)
+                assert got.shape == want.shape == (m, cols.size)
+                assert got.flags.c_contiguous
+                if s == 1:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    def test_column_alone_equals_column_in_wide_call(self):
+        leaf = BaseSketchSpec(BaseFamily.OSNAP, 100, 1000, 8, 3)
+        node = TensorSketchSpec(TensorFamily.TENSOR_SRHT, 1000, 1000, 4)
+        a, b = RNG.integers(0, 100, size=(2, 64))
+        wide = apply_tensor_cols(node, hash_columns(leaf, a), hash_columns(leaf, b))
+        for t in range(64):
+            one = apply_tensor_cols(
+                node, hash_columns(leaf, a[t:t + 1]), hash_columns(leaf, b[t:t + 1]))
+            assert np.array_equal(one, wide[:, t:t + 1]), t
+
+    def test_columns_are_base_columns(self):
+        spec = BaseSketchSpec(BaseFamily.OSNAP, 9, 6, 3, 5)
+        idx = np.array([3, 0, 8, 3])
+        H = hash_columns(spec, idx)
+        assert H.shape == (6, 4) and H.rows.shape == H.signs.shape == (4, 3)
+        dense = np.zeros(H.shape)
+        dense[H.rows.ravel(), np.repeat(np.arange(4), 3)] = H.signs.ravel() / math.sqrt(3)
+        assert np.array_equal(dense, base_columns(spec, idx))
+
+    def test_rejected_inputs(self):
+        with pytest.raises(ConfigurationError):
+            hash_columns(BASE_SPECS[2], [0])  # SRHT columns are dense
+        H = hash_columns(BaseSketchSpec(BaseFamily.OSNAP, 4, 5, 2, 1), [0, 1])
+        with pytest.raises(ConfigurationError):
+            apply_tensor_cols(TENSOR_SPECS[0], H, H)  # TensorSketch sides
+        with pytest.raises(DimensionError):
+            apply_tensor_cols(TENSOR_SPECS[3], H, H)  # 5 rows, side 8
+        with pytest.raises(IndexError):
+            hash_columns(BASE_SPECS[1], [6])
 
 
 class TestTensorPairProperties:

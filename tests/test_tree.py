@@ -2,7 +2,9 @@ import itertools
 import os
 import signal
 import struct
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -26,6 +28,7 @@ from kronsketch.sketches import (
     apply_tensor_pair,
     base_columns,
     choose_m,
+    hash_columns,
     materialize,
     to_frame,
 )
@@ -610,7 +613,8 @@ class TestSketchVector:
         assert np.allclose(tree.sketch_vector(sv), expected, atol=1e-10)
 
     def test_label_across_chunks(self):
-        # m = 2048 folds 16 nonzeros per chunk: six full chunks and one of 4
+        # m = 2048 folds 16 nonzeros per chunk (32 for hashing leaves under
+        # TensorSRHT nodes): six full chunks and one of 4 (three and one of 4)
         rng = np.random.default_rng(25)
         factors = [rng.standard_normal((6, 1)) for _ in range(3)]
         tree = TensorTree(factors, self.config(2048, 25))
@@ -692,7 +696,7 @@ def on_worker() -> bool:
 class TestLabelLanes:
     """A folded label's chunks are shared by the calling thread and one worker thread."""
 
-    M = 4096  # 2**15 // m = 8 nonzeros per chunk
+    M = 4096
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -707,21 +711,39 @@ class TestLabelLanes:
         return tree, rng
 
     @staticmethod
-    def wait_for_worker(monkeypatch):
-        """An event set once the worker sketches a chunk; until then, and for
-        at most 30 s, the calling thread waits in its first chunk, so the
-        worker is sure to take one when it can."""
-        seen = threading.Event()
+    def chunk_rule(tree):
+        """(nonzeros per chunk, leaf-column function) of a folded label: hashing
+        leaves under TensorSRHT nodes (q >= 2) enter as rows and signs in chunks of
+        2**16 // m, every other folded path as dense blocks in chunks of 2**15 // m."""
+        cfg = tree.config
+        hashing = cfg.c_family is not BaseFamily.SRHT
+        if tree.q > 1 and cfg.t_family is TensorFamily.TENSOR_SRHT and hashing:
+            return max(1, 2**16 // cfg.m), "hash_columns"
+        return max(1, 2**15 // cfg.m), "base_columns"
 
-        def gated(spec, rows):
-            if on_worker():
-                seen.set()
-            else:
-                seen.wait(timeout=30)
-            return base_columns(spec, rows)
+    @staticmethod
+    def gate_leaf_columns(monkeypatch, wait=True):
+        """Log each call of the two leaf-column functions a folded label may
+        call, by name, and return (event, log). The event is set once the worker
+        sketches a chunk; until then, with ``wait`` and for at most 30 s, the
+        calling thread waits in its first chunk, so the worker is sure to take
+        one when it can."""
+        seen, calls = threading.Event(), []
 
-        monkeypatch.setattr(tree_module, "base_columns", gated)
-        return seen
+        def gate(name, columns):
+            def gated(spec, rows):
+                calls.append(name)
+                if on_worker():
+                    seen.set()
+                elif wait:
+                    seen.wait(timeout=30)
+                return columns(spec, rows)
+
+            monkeypatch.setattr(tree_module, name, gated)
+
+        gate("base_columns", base_columns)
+        gate("hash_columns", hash_columns)
+        return seen, calls
 
     @pytest.mark.parametrize("pair", FOLDED_PAIRS, ids=lambda p: "-".join(f.value for f in p))
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
@@ -730,18 +752,20 @@ class TestLabelLanes:
         n = 5**q
         # a lone CountSketch leaf is one-hot: its labels take the bincount path
         folded = not (q == 1 and pair[0] is BaseFamily.COUNT_SKETCH)
+        chunk, columns = self.chunk_rule(tree)
         # none, one nonzero, exactly one chunk, one chunk + 1, and five chunks
-        for nnz in (0, 1, 8, 9, 35):
+        for nnz in (0, 1, chunk, chunk + 1, 4 * chunk + 3):
+            chunks = -(-nnz // chunk) if folded else 0
             sv = SparseVector(n, rng.integers(0, n, size=nnz), rng.standard_normal(nnz))
             monkeypatch.setattr(tree_module, "_LANES", 1)
+            _, calls = self.gate_leaf_columns(monkeypatch, wait=False)
             serial = tree.sketch_vector(sv)
+            assert calls == [columns] * (q * chunks)  # one call per leaf and chunk
             monkeypatch.setattr(tree_module, "_LANES", 2)
-            if folded and nnz > 8:
-                seen = self.wait_for_worker(monkeypatch)
+            seen, calls = self.gate_leaf_columns(monkeypatch, wait=chunks > 1)
             assert np.array_equal(tree.sketch_vector(sv), serial)
-            if folded and nnz > 8:
-                assert seen.is_set()
-                monkeypatch.setattr(tree_module, "base_columns", base_columns)
+            assert calls == [columns] * (q * chunks)
+            assert seen.is_set() == (chunks > 1)
             assert np.allclose(serial, folded_label(tree, sv), rtol=0,
                                atol=1e-14 * max(1.0, np.abs(sv.values).sum()))
 
@@ -796,7 +820,7 @@ class TestLabelLanes:
         tree, rng = self.label_tree(FOLDED_PAIRS[1], 3, 52)
         sv = SparseVector(125, rng.integers(0, 125, size=40), rng.standard_normal(40))
         expected = tree.sketch_vector(sv)  # the parent's worker thread has run
-        seen = self.wait_for_worker(monkeypatch)
+        seen, _ = self.gate_leaf_columns(monkeypatch)
         pid = os.fork()
         if pid == 0:  # child: never return into the test runner
             code = 1
@@ -813,6 +837,31 @@ class TestLabelLanes:
             os.waitpid(pid, 0)
             pytest.fail("sketch_vector hung in a forked child")
         assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_label_at_interpreter_exit_takes_one_lane(self):
+        # at exit the executor refuses new work; the label is still sketched
+        script = textwrap.dedent("""
+            import atexit
+            import numpy as np
+            from kronsketch import tree as tree_module
+            from kronsketch.linalg import SparseVector
+            from kronsketch.tree import TensorTree, TreeConfig
+
+            tree_module._usable_cpus = lambda: 2
+            rng = np.random.default_rng(53)
+            factors = [rng.standard_normal((5, 2)) for _ in range(3)]
+            tree = TensorTree(factors, TreeConfig("osnap", "tensorsrht", 4096, seed=53))
+            sv = SparseVector(125, rng.integers(0, 125, size=40), rng.standard_normal(40))
+            expected = tree.sketch_vector(sv)
+
+            @atexit.register
+            def at_exit():
+                print(np.array_equal(tree.sketch_vector(sv), expected))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.stdout, done.stderr) == ("True\n", "")
 
 
 class InlineWorker:
