@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Time and count minor page faults of label sketches, one fresh process per family pair.
 
-For each family pair whose labels fold dense column chunks (OSNAP/TensorSRHT,
+For each family pair whose labels fold column chunks (OSNAP/TensorSRHT,
 SRHT/TensorSRHT, OSNAP/TensorSketch), and for CountSketch/TensorSketch, whose
 labels collapse to one bincount, a new Python process builds a static tree at
 q = 4, 4096 x 3 factors, m = 1024, and sketches one 1000-nonzero label
 several times. Each call prints its wall time and the minor faults
 ``getrusage(RUSAGE_SELF).ru_minflt`` counted across it. A fresh process
 matters: how often freed blocks are faulted in again depends on the heap's
-history (glibc's dynamic mmap and trim thresholds). Usage:
+history (glibc's dynamic mmap and trim thresholds). Of the folded pairs,
+SRHT/TensorSRHT and OSNAP/TensorSketch carry dense m x chunk leaf blocks,
+while OSNAP/TensorSRHT leaves enter their first pairing as rows and signs
+(``hash_columns``), so only its nodes hold m x chunk blocks. Usage:
 
     python3 scripts/label_faults.py [--calls N] [--src DIR]
 

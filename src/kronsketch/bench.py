@@ -169,8 +169,11 @@ def load_sparse_vector(path) -> SparseVector:
         end = min(length, 1 << 63)  # no int64 index reaches past it
         pairs = _tokens_at(data, 2)
         for (tok, off), value in zip(pairs, pairs):
-            idx = _parse_count(tok, off, "index")
-            if idx >= end:
+            try:
+                idx = int(tok)
+            except ValueError:
+                raise ParseError("malformed index: not an integer", off) from None
+            if not 0 <= idx < end:
                 raise ParseError(f"index {idx} out of range [0, {end})", off)
             _parse_float(*value)
     return SparseVector(length, indices, values)

@@ -13,13 +13,14 @@ Conventions used everywhere:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
 
-# Allocation guard for explicit products and materialized sketches.
+# Allocation guard for explicit products and node matrices.
 MAX_ELEMENTS = 1 << 31
 
 
@@ -69,12 +70,17 @@ class SparseVector:
         val = np.ascontiguousarray(self.values, dtype=np.float64)
         if idx.ndim != 1 or val.ndim != 1 or idx.size != val.size:
             raise DimensionError("indices and values must be 1-D and aligned")
-        if self.length < 0:
+        try:
+            length = operator.index(self.length)
+        except TypeError:
+            raise DimensionError(f"length {self.length!r} is not an integer") from None
+        if length < 0:
             raise DimensionError("negative length")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.length):
+        if idx.size and (idx.min() < 0 or idx.max() >= length):
             raise IndexError("sparse index out of range")
         if val.size and not np.isfinite(val).all():
             raise ValueError("sparse values contain non-finite entries")
+        object.__setattr__(self, "length", length)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 

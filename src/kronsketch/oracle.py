@@ -149,6 +149,11 @@ def leverage_scores(A) -> np.ndarray:
     return np.einsum("ij,ij->i", U[:, :rank], U[:, :rank])
 
 
+def _check_accuracy(eps, delta) -> None:
+    if not (0.0 < eps and 0.0 < delta < 1.0):  # also false for nan
+        raise ValueError("need eps > 0 and 0 < delta < 1")
+
+
 def _sampled_solve(mats, b, scores, eps, delta, c_factor, seed) -> np.ndarray:
     totals = [s.sum() for s in scores]
     if any(t <= 0.0 for t in totals):
@@ -182,8 +187,7 @@ def leverage_sample_regression(
     mats = [as_matrix(f) for f in factors]
     if not mats:
         raise DimensionError("need at least one factor")
-    if not (0.0 < eps and 0.0 < delta < 1.0):
-        raise ValueError("need eps > 0 and 0 < delta < 1")
+    _check_accuracy(eps, delta)
     b = _label(b, math.prod(A.shape[0] for A in mats)).to_dense()
     scores = [leverage_scores(A) for A in mats]
     return _sampled_solve(mats, b, scores, eps, delta, c_factor, seed)
@@ -198,6 +202,7 @@ class LeverageBaseline:
     """
 
     def __init__(self, factors, b, eps, delta, c_factor=1.0, seed=0):
+        _check_accuracy(eps, delta)
         self.factors = [as_matrix(f).copy() for f in factors]
         self.b = _label(b, math.prod(A.shape[0] for A in self.factors)).to_dense()
         self.eps = eps

@@ -526,47 +526,6 @@ def apply_tensor_cols(
     return _tensor_finish(spec, prod)
 
 
-def materialize(spec) -> np.ndarray:
-    """Explicit dense matrix of a spec, built structurally from its internals.
-
-    Intended as a test oracle: the entries come straight from the hash,
-    sign, and sampling arrays (with an explicit Hadamard matrix where one
-    is involved), not from the fast application paths.
-    """
-    if isinstance(spec, BaseSketchSpec):
-        n, m = spec.input_dim, spec.output_dim
-        if n * m > MAX_ELEMENTS:
-            raise DimensionError("materialized sketch exceeds element limit")
-        if spec.family is not BaseFamily.SRHT:
-            rows, vals = _hash_slots(_base_internals(spec)[0])
-            Z = np.zeros((m, n))
-            Z[rows.ravel(), np.repeat(np.arange(n), rows.shape[1])] = vals.ravel()
-            return Z
-        padded, dsign, rows = _base_internals(spec)
-        H = _hadamard_matrix(padded) / math.sqrt(padded)
-        scale = math.sqrt(padded / m)
-        return scale * H[rows][:, :n] * dsign[None, :n]
-    if isinstance(spec, TensorSketchSpec):
-        side, m_out = spec.side_dim, spec.output_dim
-        if m_out * side * side > MAX_ELEMENTS:
-            raise DimensionError("materialized sketch exceeds element limit")
-        if spec.family is TensorFamily.TENSOR_SKETCH:
-            (h1, s1), (h2, s2) = map(_hash_slots, _tensor_internals(spec))
-            Z = np.zeros((m_out, side * side))
-            i = np.arange(side)
-            rows = (h1 + h2.T) % m_out
-            cols = i[:, None] * side + i[None, :]
-            Z[rows.ravel(), cols.ravel()] = (s1 * s2.T).ravel()
-            return Z
-        padded, d1, d2, i_rows, j_rows = _tensor_internals(spec)
-        H = _hadamard_matrix(padded)
-        hd1 = (H * d1[None, :])[i_rows][:, :side]
-        hd2 = (H * d2[None, :])[j_rows][:, :side]
-        out = hd1[:, :, None] * hd2[:, None, :]
-        return out.reshape(m_out, side * side) / math.sqrt(m_out)
-    raise TypeError(f"not a sketch spec: {type(spec).__name__}")
-
-
 # Sketching-dimension rules per supported (base, tensor) family pair.
 # Values are (weight of q, weight of dim, delta mode).
 _M_RULES = {

@@ -15,8 +15,7 @@ time-domain sketch, built from its two side transforms with no inverse rfft,
 so no update runs the root's irfft. Least squares, penalized least squares
 and right singular vectors are the same on (Q M, Q b) as on (M, b), so
 solvers read ``root`` and rotate the label sketch with ``frame``. Label
-sketches (``sketch_vector``) and ``materialize_sketch`` stay in the time
-domain. TensorSRHT roots and one-leaf trees have the identity frame.
+sketches (``sketch_vector``) stay in the time domain. TensorSRHT roots and one-leaf trees have the identity frame.
 
 Updating factor i re-sketches leaf i and recomputes each node above it from
 its two children, keeping every other node, so each node is always what a
@@ -41,15 +40,15 @@ next update's indices are known once an update commits. So a committed
 ``update_adaptive`` (on two or more CPUs) queues ``_path_specs`` for the
 next index k: the leaf spec of k (only when all factors share one row
 count, so that it fits whichever leaf comes next), the node specs of
-k + 1 .. k + depth, and the internals of each. The next ``update_adaptive``
-takes that draw if it was made for k by this process: a forked child never
-waits on its parent's helper. It waits for a running draw, but cancels a
-still queued one (say, behind a label's lane) and draws inline with the
-same function, as it does when the draw raised, so an error surfaces from
-the update itself. Its own critical path is then the leaf's sparse product,
-the refold and the commit check. Build and load draw nothing ahead. A failed
-update leaves the pending draw in place for its retry. Trees, draw indices
-and snapshots are bit for bit those of drawing inline.
+k + 1 .. k + depth, and the internals of each. The helper stores the draw in
+one slot, ``_next``, only if k is still the next index. The next
+``update_adaptive`` reads the slot once and takes the draw if it holds its
+index; otherwise (the draw is queued, running or raised) it draws inline
+with the same function. So an update never waits on the helper, an error
+surfaces from the update itself, and a forked child, which finds the slot as
+its parent left it, cannot hang. Build and load draw nothing ahead, and a
+failed update leaves the slot for its retry. Trees, draw indices and
+snapshots are bit for bit those of drawing inline.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ from .sketches import (
     base_columns,
     countsketch_columns,
     hash_columns,
-    materialize,
     tensorsketch_cols,
     to_frame,
 )
@@ -219,7 +217,7 @@ class TensorTree:
             )
         self.generation = 0
         self.recompute_counter = 0
-        self._ahead = None  # (index k, pid, future of _path_specs) or None
+        self._next = None  # (index k, *_path_specs(k, ...)) drawn ahead, or None
 
     # ------------------------------------------------------------------
     # structure helpers
@@ -283,35 +281,25 @@ class TensorTree:
             _tensor_internals(spec)
         return leaf, nodes
 
-    def _take_path_specs(self, k: int, n: int, count: int):
-        """``_path_specs(k, n, count)``, from the helper's draw where it can be used."""
-        drawn = None
-        ahead = self._ahead
-        if ahead is not None and ahead[:2] == (k, os.getpid()) and not ahead[2].cancel():
-            try:
-                drawn = ahead[2].result()  # waits if the draw is running
-            except Exception:  # drawn again below, so that the error surfaces here
-                pass
-        if drawn is None:
-            return self._path_specs(k, n, count)
-        leaf, nodes = drawn
-        if leaf is None:  # factors of unequal row counts
-            leaf = self._path_specs(k, n, 0)[0]
-        return leaf, nodes[:count]
-
     def _draw_ahead(self) -> None:
         """Queue the next adaptive update's path draws on the helper thread."""
-        k = max(self.draws) + 1
-        self._ahead = None
-        if k + self.depth >= MAX_SEED or _usable_cpus() < 2:
+        k, depth = max(self.draws) + 1, self.depth
+        if k + depth >= MAX_SEED or _usable_cpus() < 2:
             return
         rows = {f.shape[0] for f in self.factors}
         n = rows.pop() if len(rows) == 1 else None
+
+        def draw():
+            drawn = self._path_specs(k, n, depth)
+            # stale once an update has drawn k inline; a store that races that
+            # update's commit leaves an index that no later update asks for
+            if max(self.draws) + 1 == k:
+                self._next = (k, *drawn)
+
         try:
-            future = _worker.submit(self._path_specs, k, n, self.depth)
+            _worker.submit(draw)
         except RuntimeError:  # the interpreter is exiting: the next update draws inline
-            return
-        self._ahead = (k, os.getpid(), future)
+            pass
 
     # ------------------------------------------------------------------
     # construction
@@ -347,9 +335,6 @@ class TensorTree:
         self.factors, self.leaf_specs, self.node_specs = factors, leaf_specs, node_specs
         self.levels = levels
 
-    def _pair_nodes(self, key, left, right) -> np.ndarray:
-        return apply_tensor_pair(self.node_specs[key], left, right)
-
     # ------------------------------------------------------------------
     # updates
 
@@ -380,9 +365,9 @@ class TensorTree:
         where the update landed. The indices are stored only once the refold
         has committed, so a call that raises leaves the next seed unchanged.
         A call whose new indices would not fit a snapshot's 64 bits raises
-        before drawing them. The specs come from the helper thread's draw
-        ahead where it can be used (see the module docstring); once committed,
-        the call queues the draw for the next update.
+        before drawing them. The specs come from the helper's draw ahead if it
+        holds this call's index, else are drawn inline (see the module
+        docstring); once committed, the call queues the next update's draw.
         """
         if not self.config.adaptive:
             raise ConfigurationError(
@@ -396,8 +381,16 @@ class TensorTree:
         ]
         if k + len(path) >= MAX_SEED:
             raise ValueError(f"spec draw index {k + len(path)} does not fit in 64 bits")
+        n = factors[i].shape[0]
+        drawn = self._next  # read once: the helper may replace it
+        if drawn is not None and drawn[0] == k:
+            _, leaf, nodes = drawn
+        else:
+            leaf, nodes = self._path_specs(k, n, len(path))
+        if leaf is None:  # drawn ahead for factors of unequal row counts
+            leaf = self._path_specs(k, n, 0)[0]
         leaf_specs = list(self.leaf_specs)
-        leaf_specs[i], nodes = self._take_path_specs(k, factors[i].shape[0], len(path))
+        leaf_specs[i] = leaf
         node_specs = dict(self.node_specs)
         for j, ((slot, key), spec) in enumerate(zip(path, nodes), k + 1):
             draws[slot] = j
@@ -531,13 +524,6 @@ class TensorTree:
 
     def _pair_one_hot(self, key, left, right):
         return tensorsketch_cols(self.node_specs[key], left, right)
-
-    def materialize_sketch(self) -> np.ndarray:
-        """Explicit m x n composite sketching matrix (desk scale only)."""
-        mats = [materialize(spec) for spec in self.leaf_specs]
-        for mats in _fold(mats, self._pair_nodes):
-            pass
-        return mats[0]
 
     # ------------------------------------------------------------------
     # snapshots: config, generation, factors and spec draw indices; everything

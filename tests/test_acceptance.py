@@ -26,7 +26,6 @@ from kronsketch.sketches import (
     apply_base,
     apply_tensor_pair,
     choose_m,
-    materialize,
     to_frame,
 )
 from kronsketch.solvers import (
@@ -38,6 +37,7 @@ from kronsketch.solvers import (
     statistical_dimension,
 )
 from kronsketch.tree import TensorTree, TreeConfig
+from sketch_oracles import materialize, materialize_sketch
 
 EPS = 0.5
 DELTA = 0.1
@@ -320,7 +320,7 @@ def test_criterion_8_sketch_vs_materialization():
             factors = [rng.standard_normal((4, 2)) for _ in range(q)]
             cfg = TreeConfig(pair[0], pair[1], 8, seed=880 + q)
             tree = TensorTree(factors, cfg)
-            Pi = tree.materialize_sketch()
+            Pi = materialize_sketch(tree)
             root_spec = tree.node_specs.get((tree.depth, 0))  # the root is in its frame
             worst = max(
                 worst,

@@ -134,6 +134,17 @@ class TestSparseVectorFormat:
             load_sparse_vector(p)
         assert excinfo.value.offset == len(f"{2**70} 2\n0 1.0\n")
 
+    @pytest.mark.parametrize("token, message", [
+        ("4.5", "malformed index: not an integer"),
+        ("-4", r"index -4 out of range \[0, 10\)"),
+    ])
+    def test_bad_index_named(self, tmp_path, token, message):
+        p = tmp_path / "v.spvec"
+        p.write_text(f"10 2\n3 1.5\n{token} 2\n")
+        with pytest.raises(ParseError, match=message) as excinfo:
+            load_sparse_vector(p)
+        assert excinfo.value.offset == len("10 2\n3 1.5\n")
+
     def test_truncated(self, tmp_path):
         p = tmp_path / "v.spvec"
         p.write_text("4 2\n1 1.0\n")

@@ -436,3 +436,12 @@ class TestSparseVector:
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
             SparseVector(3, [3], [1.0])
+
+    @pytest.mark.parametrize("length", [2.5, 3.0, "3", None])
+    def test_non_integer_length_rejected(self, length):
+        with pytest.raises(DimensionError, match="not an integer"):
+            SparseVector(length, [0], [1.0])
+
+    def test_integer_lengths_accepted(self):
+        assert SparseVector(np.int64(3), [2], [1.0]).length == 3
+        assert SparseVector(2**70, [2**62], [1.0]).length == 2**70

@@ -167,6 +167,18 @@ class TestLeverageSampleRegression:
 
 
 class TestLeverageBaseline:
+    @pytest.mark.parametrize(
+        "eps, delta",
+        [(eps, 0.2) for eps in (0.0, -0.5, math.nan)]
+        + [(0.5, delta) for delta in (0.0, 1.0, 1.5, math.nan)],
+    )
+    def test_accuracy_parameters_checked(self, eps, delta):
+        factors, b = [np.eye(2), np.eye(2)], np.ones(4)
+        with pytest.raises(ValueError, match="need eps > 0 and 0 < delta < 1"):
+            LeverageBaseline(factors, b, eps, delta)
+        with pytest.raises(ValueError, match="need eps > 0 and 0 < delta < 1"):
+            leverage_sample_regression(factors, b, eps, delta)
+
     def test_update_then_query_tracks_factors(self):
         rng = np.random.default_rng(11)
         factors = [rng.standard_normal((6, 2)) for _ in range(2)]

@@ -30,9 +30,9 @@ from kronsketch.sketches import (
     choose_m,
     countsketch_columns,
     hash_columns,
-    materialize,
     tensorsketch_cols,
 )
+from sketch_oracles import materialize
 
 RNG = np.random.default_rng(77)
 

@@ -29,12 +29,12 @@ from kronsketch.sketches import (
     base_columns,
     choose_m,
     hash_columns,
-    materialize,
     to_frame,
 )
 from kronsketch import solvers
 from kronsketch import tree as tree_module
 from kronsketch.tree import _HEADER, SNAPSHOT_MAGIC, TensorTree, TreeConfig, _draw_seed, _fold
+from sketch_oracles import materialize, materialize_sketch
 
 RNG = np.random.default_rng(314)
 
@@ -446,11 +446,12 @@ class TestFailedUpdate:
             tree.update_adaptive(q - 1, rng.standard_normal((2, 2)))
         i = q // 2
         B = self._overflow(tree, case, i)
-        before, ahead = tree_state(tree), tree._ahead
+        drain()  # the helper's draw ahead, if any, has landed
+        before, ahead = tree_state(tree), tree._next
         with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
             (tree.update_adaptive if adaptive else tree.update)(i, B)
         assert_same_state(before, tree_state(tree))
-        assert tree._ahead is ahead  # a pending draw stays for the retry
+        assert tree._next is ahead  # a draw ahead stays for the retry
         # the tree still works: a finite update lands as usual
         tree.update(i, rng.standard_normal((2, 2)))
         check_nodes_exact(tree)
@@ -609,7 +610,7 @@ class TestSketchVector:
         n = 3**q
         idx = rng.choice(n, size=min(n, 5), replace=False)
         sv = SparseVector(n, idx, rng.standard_normal(idx.size))
-        expected = tree.materialize_sketch() @ sv.to_dense()
+        expected = materialize_sketch(tree) @ sv.to_dense()
         assert np.allclose(tree.sketch_vector(sv), expected, atol=1e-10)
 
     def test_label_across_chunks(self):
@@ -621,7 +622,7 @@ class TestSketchVector:
         idx = rng.integers(0, 6**3, size=100)
         idx[50:60] = idx[:10]  # repeats, in other chunks than their first use
         sv = SparseVector(6**3, idx, rng.standard_normal(100))
-        expected = tree.materialize_sketch() @ sv.to_dense()
+        expected = materialize_sketch(tree) @ sv.to_dense()
         scale = np.abs(sv.values).sum()
         assert np.allclose(tree.sketch_vector(sv), expected, rtol=0, atol=1e-14 * scale)
 
@@ -691,6 +692,11 @@ class TestLabelPaths:
 
 def on_worker() -> bool:
     return threading.current_thread().name.startswith("kronsketch-label")
+
+
+def drain() -> None:
+    """Wait until the helper thread has run everything queued so far."""
+    tree_module._worker.submit(int).result(timeout=30)
 
 
 class TestLabelLanes:
@@ -910,12 +916,13 @@ class TestDrawAhead:
             elif kind == "adaptive":
                 tree.update_adaptive(i, B)
             else:
-                ahead = tree._ahead
+                drain()
+                ahead = tree._next
                 error = {"shape": DimensionError, "nonfinite": ValueError,
                          "index": IndexError}[kind]
                 with pytest.raises(error):
                     tree.update_adaptive(i, B)
-                assert tree._ahead is ahead  # kept for the retry
+                assert tree._next is ahead  # kept for the retry
         return tree
 
     @staticmethod
@@ -934,17 +941,18 @@ class TestDrawAhead:
         config = TreeConfig(*pair, m=8, adaptive=True, seed=q + 100)
         ops = self.ops(rng, rows)
         tree = TensorTree(factors, config)
-        assert tree._ahead is None  # nothing is drawn ahead at build
+        assert tree._next is None  # nothing is drawn ahead at build
         helper = self.snapshot(self.drive(tree, ops), tmp_path / "helper.kttr")
-        assert tree._ahead is not None
+        drain()
+        assert tree._next[0] == max(tree.draws) + 1
         with monkeypatch.context() as patch:
             patch.setattr(tree_module, "_worker", InlineWorker)
             tree = TensorTree(factors, config)
             for op in ops:  # each drawn-ahead spec is the one the update takes
-                ahead = tree._ahead
+                ahead = tree._next
                 self.drive(tree, [op])
                 if ahead is not None and op[0] == "adaptive":
-                    leaf, nodes = ahead[2].result()
+                    _, leaf, nodes = ahead
                     assert (tree.leaf_specs[op[1]] is leaf) == (len(set(rows)) == 1)
                     assert set(map(id, nodes)) >= {
                         id(s) for key, s in tree.node_specs.items() if op[1] >> key[0] == key[1]}
@@ -952,11 +960,11 @@ class TestDrawAhead:
         with monkeypatch.context() as patch:
             patch.setattr(tree_module, "_usable_cpus", lambda: 1)
             tree = self.drive(TensorTree(factors, config), ops)
-            assert tree._ahead is None
+            assert tree._next is None
             alone = self.snapshot(tree, tmp_path / "alone.kttr")
         assert helper == inline == alone
         loaded = TensorTree.load(tmp_path / "helper.kttr")
-        assert loaded._ahead is None  # nor at load
+        assert loaded._next is None  # nor at load
 
     def reference(self, monkeypatch, factors, config, ops):
         with monkeypatch.context() as patch:
@@ -973,36 +981,45 @@ class TestDrawAhead:
         factors, config, ops = self.small_case(60)
         expected = self.reference(monkeypatch, factors, config, ops)
         path_specs = TensorTree._path_specs
+        fail_inline = False
 
         def failing(self, *args):
-            if on_worker():
+            if on_worker() or fail_inline:
                 raise FloatingPointError("draw failed")
             return path_specs(self, *args)
 
         monkeypatch.setattr(TensorTree, "_path_specs", failing)
         tree = self.drive(TensorTree(factors, config), ops[:1])
-        future = tree._ahead[2]
-        assert isinstance(future.exception(timeout=30), FloatingPointError)
+        drain()
+        assert tree._next is None  # a draw that raised leaves the slot empty
+        fail_inline, before = True, tree_state(tree)
+        with pytest.raises(FloatingPointError):  # the update's own draw raises
+            tree.update_adaptive(*ops[1][1:])
+        assert_same_state(before, tree_state(tree))
+        fail_inline = False
         self.drive(tree, ops[1:])
         check_nodes_exact(tree)
         assert tree.draws == expected.draws
         for la, lb in zip(tree.levels, expected.levels, strict=True):
             assert all(np.array_equal(a, b) for a, b in zip(la, lb, strict=True))
 
-    def test_queued_draw_is_cancelled_and_drawn_inline(self, monkeypatch):
+    def test_stale_queued_draw_is_drawn_inline(self, monkeypatch):
         factors, config, ops = self.small_case(61)
         expected = self.reference(monkeypatch, factors, config, ops)
         tree = TensorTree(factors, config)
         release = threading.Event()
         blocker = tree_module._worker.submit(release.wait, 30)  # holds the helper thread
         try:
-            self.drive(tree, ops[:2])  # the second update finds its draw queued
-            future = tree._ahead[2]
-            self.drive(tree, ops[2:])
-            assert future.cancelled()
+            self.drive(tree, ops[:2])  # the second update finds its draw still queued
+            with monkeypatch.context() as patch:  # and so does the third, which queues none
+                patch.setattr(tree_module, "_usable_cpus", lambda: 1)
+                self.drive(tree, ops[2:])
+            assert not blocker.done()  # no update waited on the helper
         finally:
             release.set()
             blocker.result(timeout=30)
+        drain()
+        assert tree._next is None  # both stale draws left the slot alone
         assert tree.draws == expected.draws
         for la, lb in zip(tree.levels, expected.levels, strict=True):
             assert all(np.array_equal(a, b) for a, b in zip(la, lb, strict=True))
@@ -1019,7 +1036,7 @@ class TestDrawAhead:
         expected = self.reference(monkeypatch, factors, config, ops)
         monkeypatch.setattr(tree_module, "_worker", Refusing)
         tree = self.drive(TensorTree(factors, config), ops)
-        assert tree._ahead is None
+        assert tree._next is None
         assert tree.draws == expected.draws and tree.generation == expected.generation
         assert np.array_equal(tree.root, expected.root)
 
@@ -1058,21 +1075,21 @@ class TestDrawAhead:
             assert os.waitstatus_to_exitcode(status[1]) == 0
         finally:
             release.set()
-            tree._ahead[2].result(timeout=30)
+            drain()
 
 
 class TestMaterializeSketch:
     def test_single_factor(self):
         A = RNG.standard_normal((5, 2))
         tree = TensorTree([A], TreeConfig(m=4, seed=20))
-        assert np.array_equal(tree.materialize_sketch(), materialize(tree.leaf_specs[0]))
+        assert np.array_equal(materialize_sketch(tree), materialize(tree.leaf_specs[0]))
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_sketch_times_chain_equals_root(self, q):
         rng = np.random.default_rng(21 + q)
         factors = [rng.standard_normal((4, 2)) for _ in range(q)]
         tree = TensorTree(factors, TreeConfig(m=9, seed=21 + q))
-        sketched = tree.materialize_sketch() @ kron_chain(factors)
+        sketched = materialize_sketch(tree) @ kron_chain(factors)
         lhs = to_frame(tree.node_specs[tree.depth, 0], sketched)  # the root's frame
         scale = max(1.0, np.abs(tree.root).max())
         assert np.allclose(lhs, tree.root, atol=1e-9 * scale)
