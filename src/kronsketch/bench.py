@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DimensionError, RegularizationError, SparseVector
+from .linalg import RegularizationError, SparseVector, as_sparse
 from .oracle import (
     LeverageBaseline,
     exact_kron_regression,
@@ -320,34 +320,26 @@ def _ratio(cost: float, oracle_cost: float) -> float | None:
 
 
 def _tree_sketch_dim(scenario: Scenario, factors, spline) -> int:
-    cbase, tbase = scenario.cbase, scenario.tbase  # choose_m checks the names
     q = len(factors)
     d = math.prod(f.shape[1] for f in factors)
+    dim, floor, eps_exponent = d, d, 2  # (fundamental_dim, least m, eps exponent)
     if scenario.solver == "lowrank":
-        m = choose_m(
-            cbase, tbase, scenario.rank, q, scenario.eps, scenario.delta,
-            scenario.cfactor,
-        )
-        return max(m, scenario.rank)
-    if scenario.solver == "spline":
+        dim = floor = scenario.rank
+    elif scenario.solver == "spline":
+        eps_exponent = 1
         try:
             dim = statistical_dimension(kron_reduction(factors).R, spline)
         except RegularizationError:
             logger.warning(
                 "spline rank condition failed; falling back to fundamental_dim = d"
             )
-            dim = d
-        m = choose_m(
-            cbase, tbase, dim, q, scenario.eps, scenario.delta,
-            scenario.cfactor, eps_exponent=1,
-        )
-    else:
-        m = choose_m(
-            cbase, tbase, d, q, scenario.eps, scenario.delta, scenario.cfactor
-        )
-    if m < d:
+    m = choose_m(  # choose_m checks the family names
+        scenario.cbase, scenario.tbase, dim, q, scenario.eps, scenario.delta,
+        scenario.cfactor, eps_exponent=eps_exponent,
+    )
+    if m < floor and scenario.solver != "lowrank":
         logger.info("clamping sketching dimension m=%d up to d=%d", m, d)
-    return max(m, d)
+    return max(m, floor)
 
 
 class _Run:
@@ -366,7 +358,7 @@ class _Run:
         self.baseline: LeverageBaseline | None = None
         self.tree: TensorTree | None = None
         self.b_sketch: np.ndarray | None = None
-        self.b_generation = 0
+        self.b_generation: int | None = None  # the tree's generation at b_sketch
         # the state's (reduction, oracle cost): events drop it, as the
         # baseline's factors change in place
         self._scoring: tuple | None = None
@@ -399,8 +391,7 @@ class _Run:
                 )
                 self.tree = TensorTree(factors, config)
             if self.b is not None:
-                self.b_sketch = self.tree.sketch_vector(self.b)
-                self.b_generation = self.tree.generation
+                self._fresh_b_sketch()
             nodes = self.tree.node_count
         self.records.append(
             BenchRecord(0, "init", time.perf_counter_ns() - start, nodes)
@@ -434,8 +425,7 @@ class _Run:
         start = time.perf_counter_ns()
         if self.b is None:
             raise ValueError("label update in a scenario without --label")
-        if delta.length != self.b.length:
-            raise DimensionError("label delta length mismatch")
+        as_sparse(delta, self.b.length)  # a delta of another length raises
         self._scoring = None
         self.b = SparseVector(
             self.b.length,
@@ -444,10 +434,7 @@ class _Run:
         )
         if self.baseline is not None:
             self.baseline.update_label(delta)
-        elif (
-            self.b_sketch is not None
-            and self.b_generation == self.tree.generation
-        ):
+        elif self.b_generation == self.tree.generation:
             self.b_sketch = self.b_sketch + self.tree.sketch_vector(delta)
         wall = time.perf_counter_ns() - start
         self.records.append(BenchRecord(event, "label", wall, 0))

@@ -100,6 +100,15 @@ class SparseVector:
         return out
 
 
+def as_sparse(b, length: int) -> SparseVector:
+    """b, sparse or dense, as a SparseVector of this length; else DimensionError."""
+    if not isinstance(b, SparseVector):
+        b = SparseVector.from_dense(b)
+    if b.length != length:
+        raise DimensionError(f"vector length {b.length} != expected length {length}")
+    return b
+
+
 def kron(A, B) -> np.ndarray:
     """Kronecker product in block layout: block (i, j) equals A[i, j] * B."""
     A = as_matrix(A)

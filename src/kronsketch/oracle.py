@@ -20,8 +20,8 @@ import numpy as np
 
 from .linalg import (
     DimensionError,
-    SparseVector,
     as_matrix,
+    as_sparse,
     kron_chain,
     kron_rows_dot,
     least_squares,
@@ -41,15 +41,6 @@ class OracleSolution:
 
     x_star: np.ndarray
     opt_cost: float
-
-
-def _label(b, n: int) -> SparseVector:
-    """A sparse or dense label of length n, as a SparseVector."""
-    if not isinstance(b, SparseVector):
-        b = SparseVector.from_dense(b)
-    if b.length != n:
-        raise DimensionError(f"label length {b.length} != n {n}")
-    return b
 
 
 @dataclass(frozen=True)
@@ -92,7 +83,7 @@ def kron_reduction(factors, b=None) -> KronReduction:
     R = np.vstack([R, np.zeros((pad, R.shape[1]))])
     if b is None:
         return KronReduction(R, None, 0.0)
-    b = _label(b, n)
+    b = as_sparse(b, n)
     order = np.argsort(b.indices, kind="stable")
     idx = b.indices[order]
     first = np.flatnonzero(np.diff(idx, prepend=-1))
@@ -149,52 +140,16 @@ def leverage_scores(A) -> np.ndarray:
     return np.einsum("ij,ij->i", U[:, :rank], U[:, :rank])
 
 
-def _check_accuracy(eps, delta) -> None:
-    if not (0.0 < eps and 0.0 < delta < 1.0):  # also false for nan
-        raise ValueError("need eps > 0 and 0 < delta < 1")
-
-
-def _sampled_solve(mats, b, scores, eps, delta, c_factor, seed) -> np.ndarray:
-    totals = [s.sum() for s in scores]
-    if any(t <= 0.0 for t in totals):
-        raise DegenerateInputError("a factor has all-zero leverage scores")
-    probs = [s / t for s, t in zip(scores, totals)]
-    d = math.prod(A.shape[1] for A in mats)
-    # the sampled system must stay overdetermined
-    m = max(math.ceil(c_factor * d / (delta * eps**2)), d)
-    rng = np.random.default_rng(seed)
-    draws = [rng.choice(A.shape[0], size=m, p=p) for A, p in zip(mats, probs)]
-    rows = mats[0][draws[0]]
-    p_row = probs[0][draws[0]].copy()
-    for A, p, idx in zip(mats[1:], probs[1:], draws[1:]):
-        rows = np.einsum("mi,mj->mij", rows, A[idx]).reshape(m, -1)
-        p_row *= p[idx]
-    flat = np.ravel_multi_index(draws, [A.shape[0] for A in mats])
-    w = 1.0 / np.sqrt(m * p_row)
-    return least_squares(w[:, None] * rows, w * b[flat]).x
-
-
 def leverage_sample_regression(
     factors, b, eps: float, delta: float, c_factor: float = 1.0, seed: int = 0
 ) -> np.ndarray:
-    """Leverage-score sampled solve of the Kronecker regression problem.
-
-    Draws m = ceil(c * d / (delta * eps^2)) rows with replacement, one
-    digit per factor proportional to that factor's scores, rescales each
-    sampled row and label entry by 1 / sqrt(m * p_row), and solves the
-    small weighted least-squares problem.
-    """
-    mats = [as_matrix(f) for f in factors]
-    if not mats:
-        raise DimensionError("need at least one factor")
-    _check_accuracy(eps, delta)
-    b = _label(b, math.prod(A.shape[0] for A in mats)).to_dense()
-    scores = [leverage_scores(A) for A in mats]
-    return _sampled_solve(mats, b, scores, eps, delta, c_factor, seed)
+    """Leverage-score sampled solve of the Kronecker regression problem:
+    one ``LeverageBaseline`` solve under ``seed``."""
+    return LeverageBaseline(factors, b, eps, delta, c_factor)._solve(seed)
 
 
 class LeverageBaseline:
-    """Stateful wrapper for replaying update streams against the baseline.
+    """The leverage-score sampling baseline, kept across an update stream.
 
     Updates mutate the stored factor and drop that factor's cached scores;
     queries resample with the current scores. Successive queries consume
@@ -202,9 +157,14 @@ class LeverageBaseline:
     """
 
     def __init__(self, factors, b, eps, delta, c_factor=1.0, seed=0):
-        _check_accuracy(eps, delta)
         self.factors = [as_matrix(f).copy() for f in factors]
-        self.b = _label(b, math.prod(A.shape[0] for A in self.factors)).to_dense()
+        if not self.factors:
+            raise DimensionError("need at least one factor")
+        if not (0.0 < eps and 0.0 < delta < 1.0):  # also false for nan
+            raise ValueError("need eps > 0 and 0 < delta < 1")
+        if not 0.0 < c_factor < math.inf:
+            raise ValueError(f"c_factor must be finite and positive, got {c_factor}")
+        self.b = as_sparse(b, math.prod(A.shape[0] for A in self.factors)).to_dense()
         self.eps = eps
         self.delta = delta
         self.c_factor = c_factor
@@ -221,14 +181,38 @@ class LeverageBaseline:
         self._scores[i] = None
 
     def update_label(self, delta) -> None:
-        self.b = self.b + _label(delta, self.b.size).to_dense()
+        self.b = self.b + as_sparse(delta, self.b.size).to_dense()
 
-    def query(self) -> np.ndarray:
+    def _solve(self, seed: int) -> np.ndarray:
+        """Leverage-score sampled solve of the current problem under ``seed``.
+
+        Draws m = ceil(c * d / (delta * eps^2)) rows with replacement, one
+        digit per factor proportional to that factor's scores, rescales each
+        sampled row and label entry by 1 / sqrt(m * p_row), and solves the
+        small weighted least-squares problem.
+        """
         for i, A in enumerate(self.factors):
             if self._scores[i] is None:
                 self._scores[i] = leverage_scores(A)
-        seed = int(self._rng.integers(0, 1 << 63))
-        return _sampled_solve(
-            self.factors, self.b, self._scores, self.eps, self.delta,
-            self.c_factor, seed,
-        )
+        totals = [s.sum() for s in self._scores]
+        if any(t <= 0.0 for t in totals):
+            raise DegenerateInputError("a factor has all-zero leverage scores")
+        mats = self.factors
+        probs = [s / t for s, t in zip(self._scores, totals)]
+        d = math.prod(A.shape[1] for A in mats)
+        # the sampled system must stay overdetermined
+        m = max(math.ceil(self.c_factor * d / (self.delta * self.eps**2)), d)
+        rng = np.random.default_rng(seed)
+        draws = [rng.choice(A.shape[0], size=m, p=p) for A, p in zip(mats, probs)]
+        rows = mats[0][draws[0]]
+        p_row = probs[0][draws[0]].copy()
+        for A, p, idx in zip(mats[1:], probs[1:], draws[1:]):
+            rows = np.einsum("mi,mj->mij", rows, A[idx]).reshape(m, -1)
+            p_row *= p[idx]
+        flat = np.ravel_multi_index(draws, [A.shape[0] for A in mats])
+        w = 1.0 / np.sqrt(m * p_row)
+        return least_squares(w[:, None] * rows, w * self.b[flat]).x
+
+    def query(self) -> np.ndarray:
+        """``_solve`` under the next seed of the baseline's seeded stream."""
+        return self._solve(int(self._rng.integers(0, 1 << 63)))

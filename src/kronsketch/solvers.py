@@ -15,6 +15,7 @@ reads, never concurrently with an update.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ _RANK_CONDITION = (
     "spline rank condition violated: need rank(L) = p and "
     "rank([A; L]) = d"
 )
+
+
+class RankDeficientWarning(RuntimeWarning):
+    """A rank-deficient sketched root: the answer is the minimum-norm one."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,8 @@ def regression_query(tree: TensorTree, b_sketch) -> np.ndarray:
     """Approximate minimizer of ||(kron of factors) x - b||_2.
 
     Solves the sketched problem min_x ||M x - b_sketch|| at the root, as
-    min_x ||R x - Q b_sketch|| in the root's frame.
+    min_x ||R x - Q b_sketch|| in the root's frame. A rank-deficient root
+    warns with RankDeficientWarning and gives the minimum-norm answer.
     """
     R, y = tree.root, tree.frame(b_sketch)
     if R.shape[0] < R.shape[1]:
@@ -82,7 +88,10 @@ def regression_query(tree: TensorTree, b_sketch) -> np.ndarray:
             f"sketching dimension {R.shape[0]} cannot embed a "
             f"{R.shape[1]}-dimensional column space; increase m"
         )
-    return least_squares(R, y).x
+    x, rank, deficient = least_squares(R, y)
+    if deficient:
+        warnings.warn(f"sketched root has rank {rank} < d = {R.shape[1]}", RankDeficientWarning)
+    return x
 
 
 def penalized_solve(M, y, spline: SplineSpec) -> np.ndarray:

@@ -38,17 +38,17 @@ The same helper draws an adaptive tree's next path ahead. Every spec is a
 pure function of the config seed, its row count and its draw index, and the
 next update's indices are known once an update commits. So a committed
 ``update_adaptive`` (on two or more CPUs) queues ``_path_specs`` for the
-next index k: the leaf spec of k (only when all factors share one row
-count, so that it fits whichever leaf comes next), the node specs of
-k + 1 .. k + depth, and the internals of each. The helper stores the draw in
-one slot, ``_next``, only if k is still the next index. The next
+next index k: the leaf spec of k for factor 0's row count, the node specs
+of k + 1 .. k + depth, and the internals of each. The helper stores the
+draw in one slot, ``_next``, only if k is still the next index. The next
 ``update_adaptive`` reads the slot once and takes the draw if it holds its
 index; otherwise (the draw is queued, running or raised) it draws inline
-with the same function. So an update never waits on the helper, an error
-surfaces from the update itself, and a forked child, which finds the slot as
-its parent left it, cannot hang. Build and load draw nothing ahead, and a
-failed update leaves the slot for its retry. Trees, draw indices and
-snapshots are bit for bit those of drawing inline.
+with the same function. It takes the drawn leaf only for a factor of that
+row count, and draws its own leaf otherwise. So an update never waits on
+the helper, an error surfaces from the update itself, and a forked child,
+which finds the slot as its parent left it, cannot hang. Build and load
+draw nothing ahead, and a failed update leaves the slot for its retry.
+Trees, draw indices and snapshots are bit for bit those of drawing inline.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ from .linalg import (
     MAX_ELEMENTS,
     DimensionError,
     HadamardWork,
-    SparseVector,
     as_matrix,
+    as_sparse,
     as_vector,
 )
 from .sketches import (
@@ -95,10 +95,9 @@ from .sketches import (
 SNAPSHOT_MAGIC = b"KTTR5"
 _HEADER = "<BBQBQQQ"  # c code, t code, m, adaptive, seed, generation, q
 
-# A folded label's chunks are shared by _LANES lanes, the calling thread and
-# one worker thread; no lane takes a chunk _AHEAD or more past the next one
-# to add (fixed, not knobs)
-_LANES = 2
+# A folded label's chunks are shared by two lanes, the calling thread and the
+# helper thread; no lane takes a chunk _AHEAD or more past the next one to add
+# (fixed, not a knob)
 _AHEAD = 8
 
 
@@ -113,6 +112,17 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _submit(fn, *args) -> futures.Future | None:
+    """Queue fn(*args) on the helper thread and return its future, or None on
+    one CPU or once the interpreter is exiting (the executor refuses work)."""
+    if _usable_cpus() < 2:
+        return None
+    try:
+        return _worker.submit(fn, *args)
+    except RuntimeError:
+        return None
 
 
 _new_worker()  # no thread runs before the first submit
@@ -269,25 +279,22 @@ class TensorTree:
         cfg = self.config
         return TensorSketchSpec(cfg.t_family, cfg.m, cfg.m, _draw_seed(cfg.seed, k))
 
-    def _path_specs(self, k: int, n: int | None, count: int):
-        """The leaf spec of draw index k for n rows (None for no n) and the node
-        specs of indices k + 1 .. k + count, each with its internals drawn."""
-        leaf = None
-        if n is not None:
-            leaf = self._leaf_spec(n, k)
-            _base_internals(leaf)
+    def _path_specs(self, k: int, n: int, count: int):
+        """The leaf spec of draw index k for n rows and the node specs of
+        indices k + 1 .. k + count, each with its internals drawn."""
+        leaf = self._leaf_spec(n, k)
+        _base_internals(leaf)
         nodes = [self._node_spec(j) for j in range(k + 1, k + 1 + count)]
         for spec in nodes:
             _tensor_internals(spec)
         return leaf, nodes
 
     def _draw_ahead(self) -> None:
-        """Queue the next adaptive update's path draws on the helper thread."""
-        k, depth = max(self.draws) + 1, self.depth
-        if k + depth >= MAX_SEED or _usable_cpus() < 2:
+        """Queue the next adaptive update's path draws on the helper thread,
+        its leaf for factor 0's row count."""
+        k, n, depth = max(self.draws) + 1, self.factors[0].shape[0], self.depth
+        if k + depth >= MAX_SEED:
             return
-        rows = {f.shape[0] for f in self.factors}
-        n = rows.pop() if len(rows) == 1 else None
 
         def draw():
             drawn = self._path_specs(k, n, depth)
@@ -296,10 +303,7 @@ class TensorTree:
             if max(self.draws) + 1 == k:
                 self._next = (k, *drawn)
 
-        try:
-            _worker.submit(draw)
-        except RuntimeError:  # the interpreter is exiting: the next update draws inline
-            pass
+        _submit(draw)  # without the helper the next update draws inline
 
     # ------------------------------------------------------------------
     # construction
@@ -387,7 +391,7 @@ class TensorTree:
             _, leaf, nodes = drawn
         else:
             leaf, nodes = self._path_specs(k, n, len(path))
-        if leaf is None:  # drawn ahead for factors of unequal row counts
+        if leaf.input_dim != n:  # drawn ahead for factor 0's row count
             leaf = self._path_specs(k, n, 0)[0]
         leaf_specs = list(self.leaf_specs)
         leaf_specs[i] = leaf
@@ -431,16 +435,8 @@ class TensorTree:
         ``HadamardWork`` for all its TensorSRHT transforms, so its buffers are
         allocated once, not per chunk and node, and freed at return.
         """
-        if isinstance(b, SparseVector):
-            sv = b
-        else:
-            sv = SparseVector.from_dense(as_vector(b))
         n_dims = [f.shape[0] for f in self.factors]
-        n_total = math.prod(n_dims)
-        if sv.length != n_total:
-            raise DimensionError(
-                f"vector length {sv.length} != product of factor rows {n_total}"
-            )
+        sv = as_sparse(b, math.prod(n_dims))
         cfg = self.config
         digits = np.unravel_index(sv.indices, n_dims)
         if cfg.c_family is BaseFamily.COUNT_SKETCH and (
@@ -469,7 +465,7 @@ class TensorTree:
             return mats[0] @ sv.values[part]
 
         out = np.zeros(cfg.m)
-        if min(_LANES, len(parts), _usable_cpus()) < 2:
+        if len(parts) < 2:
             work = HadamardWork()
             for part in parts:
                 out += sketch_chunk(part, work)
@@ -508,10 +504,7 @@ class TensorTree:
                     else:
                         cond.wait()
 
-        try:
-            future = _worker.submit(lane, HadamardWork(), False)
-        except RuntimeError:  # the interpreter is exiting: this lane takes every chunk
-            future = None
+        future = _submit(lane, HadamardWork(), False)  # None: this lane takes every chunk
         try:
             lane(HadamardWork(), True)
         finally:

@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 import tracemalloc
@@ -23,7 +24,9 @@ from kronsketch.bench import (
     save_sparse_vector,
 )
 from kronsketch.linalg import SparseVector
-from kronsketch.sketches import ConfigurationError
+from kronsketch.oracle import kron_reduction
+from kronsketch.sketches import ConfigurationError, choose_m
+from kronsketch.solvers import SplineSpec, statistical_dimension
 from kronsketch.tree import TensorTree
 
 RNG = np.random.default_rng(99)
@@ -518,6 +521,53 @@ class TestReplay:
                 tmp_path, factor_paths, factors=[], resume_tree=str(snap),
                 stream=None, **families,
             ))
+
+
+class TestTreeSketchDim:
+    """The m a replay builds its tree with, at the replay benchmark's shape:
+    SRHT/TensorSRHT, q = 2, 64 x 3 factors (d = 9), eps 0.5, delta 0.1, and
+    per solver the c factor that benchmark runs it at."""
+
+    FACTORS = [np.random.default_rng(64).standard_normal((64, 3)) for _ in range(2)]
+    C_FACTOR = {"regression": 0.05, "spline": 0.25, "lowrank": 1.0}
+
+    def sketch_dim(self, solver, spline=None, **fields):
+        fields = {"cfactor": self.C_FACTOR[solver], **fields}
+        sc = Scenario(solver=solver, cbase="srht", tbase="tensorsrht", eps=0.5, delta=0.1,
+                      **fields)
+        return bench._tree_sketch_dim(sc, self.FACTORS, spline)
+
+    def test_pinned_at_the_replay_shape(self):
+        assert self.sketch_dim("regression") == 67
+        assert self.sketch_dim("spline", SplineSpec(np.eye(9), 1.0)) == 166
+        assert self.sketch_dim("lowrank", rank=2) == 295
+
+    def test_ridge_spline_sizes_by_its_statistical_dimension(self):
+        spline = SplineSpec(np.eye(9), 1e4)
+        sd = statistical_dimension(kron_reduction(self.FACTORS).R, spline)
+        assert 1.0 < sd < 4.0  # well below d = 9
+        m = self.sketch_dim("spline", spline)
+        assert m == choose_m("srht", "tensorsrht", sd, 2, 0.5, 0.1, 0.25, eps_exponent=1)
+        assert 9 < m < 166
+
+    def test_spline_rank_condition_failure_falls_back_to_d(self, caplog):
+        # rank(L) = 9 < p = 10 fails the rank condition
+        spline = SplineSpec(np.vstack([np.eye(9), np.eye(1, 9)]), 1e4)
+        with caplog.at_level(logging.INFO, logger="kronsketch.bench"):
+            assert self.sketch_dim("spline", spline) == 166  # the m of sd = d = 9
+        assert [r.getMessage() for r in caplog.records] == [
+            "spline rank condition failed; falling back to fundamental_dim = d"]
+
+    def test_lowrank_raised_to_the_rank_without_a_log_line(self, caplog):
+        with caplog.at_level(logging.INFO, logger="kronsketch.bench"):
+            assert self.sketch_dim("lowrank", rank=5, cfactor=1e-3) == 5
+        assert caplog.records == []
+
+    def test_clamped_up_to_d_with_an_info_line(self, caplog):
+        with caplog.at_level(logging.INFO, logger="kronsketch.bench"):
+            assert self.sketch_dim("regression", cfactor=1e-3) == 9
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, "clamping sketching dimension m=2 up to d=9")]
 
 
 class TestLargeReplay:

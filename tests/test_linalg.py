@@ -14,12 +14,14 @@ from kronsketch.linalg import (
     HadamardWork,
     SparseVector,
     _bit_parity_sign,
+    as_sparse,
     kron,
     kron_chain,
     kron_rows_dot,
     least_squares,
     thin_svd,
 )
+from kronsketch.oracle import LeverageBaseline, kron_reduction
 from kronsketch.tree import TensorTree, TreeConfig
 from test_solvers import assert_solves_agree
 
@@ -445,3 +447,27 @@ class TestSparseVector:
     def test_integer_lengths_accepted(self):
         assert SparseVector(np.int64(3), [2], [1.0]).length == 3
         assert SparseVector(2**70, [2**62], [1.0]).length == 2**70
+
+
+class TestAsSparse:
+    def test_sparse_and_dense_labels(self):
+        sv = SparseVector(4, [3, 1, 3], [1.0, 2.0, 0.5])
+        assert as_sparse(sv, 4) is sv
+        dense = as_sparse(sv.to_dense(), 4)
+        assert dense.length == 4 and np.array_equal(dense.to_dense(), sv.to_dense())
+
+    def test_other_length_names_both_at_every_label_entry(self):
+        factors = [np.eye(2), np.eye(2)]
+        tree = TensorTree(factors, TreeConfig(m=8, seed=1))
+        base = LeverageBaseline(factors, np.ones(4), 0.5, 0.2)
+        entries = [
+            lambda b: as_sparse(b, 4),
+            tree.sketch_vector,
+            lambda b: kron_reduction(factors, b),
+            lambda b: LeverageBaseline(factors, b, 0.5, 0.2),
+            base.update_label,
+        ]
+        for entry in entries:
+            for b in (np.ones(5), SparseVector(5, [4], [1.0])):
+                with pytest.raises(DimensionError, match="length 5 != expected length 4"):
+                    entry(b)

@@ -179,6 +179,20 @@ class TestLeverageBaseline:
         with pytest.raises(ValueError, match="need eps > 0 and 0 < delta < 1"):
             leverage_sample_regression(factors, b, eps, delta)
 
+    @pytest.mark.parametrize("c_factor", [math.nan, math.inf, 0.0, -1.0])
+    def test_c_factor_checked(self, c_factor):
+        factors, b = [np.eye(2), np.eye(2)], np.ones(4)
+        with pytest.raises(ValueError, match="c_factor must be finite and positive"):
+            LeverageBaseline(factors, b, 0.5, 0.2, c_factor=c_factor)
+        with pytest.raises(ValueError, match="c_factor must be finite and positive"):
+            leverage_sample_regression(factors, b, 0.5, 0.2, c_factor=c_factor)
+
+    def test_no_factors_rejected(self):
+        with pytest.raises(DimensionError, match="need at least one factor"):
+            LeverageBaseline([], np.ones(1), 0.5, 0.2)
+        with pytest.raises(DimensionError, match="need at least one factor"):
+            leverage_sample_regression([], np.ones(1), 0.5, 0.2)
+
     def test_update_then_query_tracks_factors(self):
         rng = np.random.default_rng(11)
         factors = [rng.standard_normal((6, 2)) for _ in range(2)]

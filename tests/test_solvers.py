@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from kronsketch.sketches import (
     apply_tensor_pair,
 )
 from kronsketch.solvers import (
+    RankDeficientWarning,
     SplineSpec,
     lowrank_query,
     materialize_lowrank,
@@ -103,6 +105,25 @@ class TestRegressionQuery:
         tree2 = TensorTree(scaled, TreeConfig(**cfg))
         x2 = regression_query(tree2, tree2.sketch_vector(3.0 * b))
         assert np.allclose(x, x2, rtol=1e-9, atol=1e-9)
+
+    def test_rank_deficient_root_warns(self):
+        # all-ones factors make the Kronecker product, and so the root, rank 1
+        tree = TensorTree([np.ones((16, 3)), np.ones((16, 3))], TreeConfig(m=64, seed=3))
+        b_sketch = tree.sketch_vector(np.random.default_rng(3).standard_normal(256))
+        ref = least_squares(tree.root, tree.frame(b_sketch))
+        assert ref.rank_deficient and ref.rank == 1
+        with pytest.warns(RankDeficientWarning, match=r"rank 1 < d = 9"):
+            x = regression_query(tree, b_sketch)
+        assert np.array_equal(x, ref.x)  # still the minimum-norm answer
+
+    def test_full_rank_root_does_not_warn(self):
+        factors = [RNG.standard_normal((16, 3)) for _ in range(2)]
+        tree = full_rank_tree(factors, m=64)
+        b_sketch = tree.sketch_vector(RNG.standard_normal(256))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = regression_query(tree, b_sketch)
+        assert np.array_equal(x, least_squares(tree.root, tree.frame(b_sketch)).x)
 
 
 class TestSplineQuery:

@@ -763,11 +763,11 @@ class TestLabelLanes:
         for nnz in (0, 1, chunk, chunk + 1, 4 * chunk + 3):
             chunks = -(-nnz // chunk) if folded else 0
             sv = SparseVector(n, rng.integers(0, n, size=nnz), rng.standard_normal(nnz))
-            monkeypatch.setattr(tree_module, "_LANES", 1)
+            monkeypatch.setattr(tree_module, "_usable_cpus", lambda: 1)
             _, calls = self.gate_leaf_columns(monkeypatch, wait=False)
             serial = tree.sketch_vector(sv)
             assert calls == [columns] * (q * chunks)  # one call per leaf and chunk
-            monkeypatch.setattr(tree_module, "_LANES", 2)
+            monkeypatch.setattr(tree_module, "_usable_cpus", lambda: 2)
             seen, calls = self.gate_leaf_columns(monkeypatch, wait=chunks > 1)
             assert np.array_equal(tree.sketch_vector(sv), serial)
             assert calls == [columns] * (q * chunks)
@@ -953,7 +953,7 @@ class TestDrawAhead:
                 self.drive(tree, [op])
                 if ahead is not None and op[0] == "adaptive":
                     _, leaf, nodes = ahead
-                    assert (tree.leaf_specs[op[1]] is leaf) == (len(set(rows)) == 1)
+                    assert (tree.leaf_specs[op[1]] is leaf) == (rows[op[1]] == rows[0])
                     assert set(map(id, nodes)) >= {
                         id(s) for key, s in tree.node_specs.items() if op[1] >> key[0] == key[1]}
             inline = self.snapshot(tree, tmp_path / "inline.kttr")
