@@ -40,7 +40,7 @@ from .oracle import (
     exact_spline,
     kron_reduction,
 )
-from .sketches import BaseFamily, ConfigurationError, TensorFamily, choose_m
+from .sketches import BaseFamily, ConfigurationError, TensorFamily, check_accuracy, choose_m
 from .solvers import (
     SplineSpec,
     lowrank_query,
@@ -257,8 +257,7 @@ class Scenario:
     def validate(self) -> None:
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
-        if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
-            raise ValueError("eps and delta must lie in (0, 1)")
+        check_accuracy(self.eps, self.delta, self.cfactor)
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if not self.factors and not self.resume_tree:
@@ -359,8 +358,7 @@ class _Run:
         self.tree: TensorTree | None = None
         self.b_sketch: np.ndarray | None = None
         self.b_generation: int | None = None  # the tree's generation at b_sketch
-        # the state's (reduction, oracle cost): events drop it, as the
-        # baseline's factors change in place
+        # the state's (reduction, oracle cost), dropped by every event
         self._scoring: tuple | None = None
 
         start = time.perf_counter_ns()
@@ -390,7 +388,7 @@ class _Run:
                     scenario.cbase, scenario.tbase, m, scenario.adaptive, seed
                 )
                 self.tree = TensorTree(factors, config)
-            if self.b is not None:
+            if scenario.solver != "lowrank":  # the lowrank query reads no label
                 self._fresh_b_sketch()
             nodes = self.tree.node_count
         self.records.append(

@@ -109,6 +109,16 @@ def as_sparse(b, length: int) -> SparseVector:
     return b
 
 
+def updated_factors(factors, i: int, B) -> list[np.ndarray]:
+    """A new list of ``factors`` with A_i + B in place of A_i, after checking i and B."""
+    if not 0 <= i < len(factors):
+        raise IndexError(f"factor index {i} out of range [0, {len(factors)})")
+    B = as_matrix(B)
+    if B.shape != factors[i].shape:
+        raise DimensionError(f"update shape {B.shape} != factor shape {factors[i].shape}")
+    return [f + B if j == i else f for j, f in enumerate(factors)]
+
+
 def kron(A, B) -> np.ndarray:
     """Kronecker product in block layout: block (i, j) equals A[i, j] * B."""
     A = as_matrix(A)

@@ -27,7 +27,9 @@ from .linalg import (
     least_squares,
     numerical_rank,
     thin_svd,
+    updated_factors,
 )
+from .sketches import check_accuracy
 from .solvers import SplineSpec, penalized_solve
 
 
@@ -151,19 +153,16 @@ def leverage_sample_regression(
 class LeverageBaseline:
     """The leverage-score sampling baseline, kept across an update stream.
 
-    Updates mutate the stored factor and drop that factor's cached scores;
+    Updates replace the stored factor and drop that factor's cached scores;
     queries resample with the current scores. Successive queries consume
     fresh randomness from the seeded stream.
     """
 
     def __init__(self, factors, b, eps, delta, c_factor=1.0, seed=0):
-        self.factors = [as_matrix(f).copy() for f in factors]
+        self.factors = [as_matrix(f) for f in factors]
         if not self.factors:
             raise DimensionError("need at least one factor")
-        if not (0.0 < eps and 0.0 < delta < 1.0):  # also false for nan
-            raise ValueError("need eps > 0 and 0 < delta < 1")
-        if not 0.0 < c_factor < math.inf:
-            raise ValueError(f"c_factor must be finite and positive, got {c_factor}")
+        check_accuracy(eps, delta, c_factor)
         self.b = as_sparse(b, math.prod(A.shape[0] for A in self.factors)).to_dense()
         self.eps = eps
         self.delta = delta
@@ -172,12 +171,7 @@ class LeverageBaseline:
         self._scores: list = [None] * len(self.factors)
 
     def update(self, i: int, B) -> None:
-        if not 0 <= i < len(self.factors):
-            raise IndexError(f"factor index {i} out of range")
-        B = as_matrix(B)
-        if B.shape != self.factors[i].shape:
-            raise DimensionError("update shape mismatch")
-        self.factors[i] += B
+        self.factors = updated_factors(self.factors, i, B)
         self._scores[i] = None
 
     def update_label(self, delta) -> None:

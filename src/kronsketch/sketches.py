@@ -454,14 +454,14 @@ def _fourier_weights(m: int) -> np.ndarray:
     return w
 
 
-def to_frame(spec: TensorSketchSpec | None, Y) -> np.ndarray:
+def to_frame(spec: BaseSketchSpec | TensorSketchSpec, Y) -> np.ndarray:
     """Q Y along axis 0, for Q the orthogonal frame of the outputs of ``spec``.
 
     For TensorSketch, Q is the real Fourier transform: ``_real_stack`` of the
-    rfft bins of Y, times ``_fourier_weights``. For TensorSRHT, or no spec (a
-    lone leaf), Q is the identity and Y comes back as it is.
+    rfft bins of Y, times ``_fourier_weights``. For TensorSRHT, or a base spec
+    (a one-leaf tree's root), Q is the identity and Y comes back as it is.
     """
-    if spec is None or spec.family is not TensorFamily.TENSOR_SKETCH:
+    if spec.family is not TensorFamily.TENSOR_SKETCH:
         return Y
     m = spec.output_dim
     out = _real_stack(np.fft.rfft(Y, axis=0), m)
@@ -535,6 +535,14 @@ _M_RULES = {
 }
 
 
+def check_accuracy(eps: float, delta: float, c_factor: float = 1.0) -> None:
+    """0 < eps <= 1, 0 < delta < 1 and a finite c_factor > 0, else ValueError."""
+    if not (0.0 < eps <= 1.0 and 0.0 < delta < 1.0):
+        raise ValueError("need 0 < eps <= 1 and 0 < delta < 1")
+    if not 0.0 < c_factor < math.inf:
+        raise ValueError(f"c_factor must be finite and positive, got {c_factor}")
+
+
 def choose_m(
     c_family: BaseFamily,
     t_family: TensorFamily,
@@ -558,12 +566,9 @@ def choose_m(
     """
     c_family = BaseFamily(c_family)
     t_family = TensorFamily(t_family)
-    if not (0.0 < eps <= 1.0 and 0.0 < delta < 1.0):
-        raise ValueError("need 0 < eps <= 1 and 0 < delta < 1")
+    check_accuracy(eps, delta, c_factor)
     if not (0.0 < fundamental_dim < math.inf and q >= 1):
         raise ValueError("need 0 < fundamental_dim < inf and q >= 1")
-    if not 0.0 < c_factor < math.inf:
-        raise ValueError(f"c_factor must be finite and positive, got {c_factor}")
     if eps_exponent not in (1, 2):
         raise ValueError("eps_exponent must be 1 or 2")
     rule = _M_RULES.get((c_family, t_family))

@@ -8,6 +8,8 @@ never formed. When a level has an odd node count, the rightmost node is
 promoted unchanged (order-preserving, so the implied composite sketch is
 still a linear map on the full Kronecker ordering). The root is an m x d
 sketch of the whole chain, d being the product of the factor column counts.
+Each node has a slot, numbered as the pairing makes them (``_fold``): the
+leaves first, the root last. ``specs``, ``draws`` and ``nodes`` are in slot order.
 
 The root is given in its spec's orthonormal output frame Q
 (``sketches.to_frame``): a TensorSketch root is Q M, M the pair's
@@ -15,17 +17,19 @@ time-domain sketch, built from its two side transforms with no inverse rfft,
 so no update runs the root's irfft. Least squares, penalized least squares
 and right singular vectors are the same on (Q M, Q b) as on (M, b), so
 solvers read ``root`` and rotate the label sketch with ``frame``. Label
-sketches (``sketch_vector``) stay in the time domain. TensorSRHT roots and one-leaf trees have the identity frame.
+sketches (``sketch_vector``) stay in the time domain. TensorSRHT roots and
+one-leaf trees have the identity frame.
 
-Updating factor i re-sketches leaf i and recomputes each node above it from
-its two children, keeping every other node, so each node is always what a
-fresh build computes from its spec and children. Nothing is committed until
-the new root is finite: an update that raises leaves the tree as it was.
+Updating factor i re-sketches leaf i and recomputes the slots above it
+(``_slots_above``) from their two children, keeping every other node, so
+each node is always what a fresh build computes from its spec and children.
+Nothing is committed until the new root is finite: an update that raises
+leaves the tree as it was.
 
-A build gives its 2q - 1 specs the draw indices 0..2q-2 (``_draw_seed``).
-In adaptive mode an update first redraws the specs on that path under the
-indices past the largest in use, so an adversary sees fresh randomness after
-every update. The ``generation`` counter exposes this change of the sketching
+A build gives slot j's spec the draw index j (``_draw_seed``). In adaptive
+mode an update first redraws the specs of its path's slots under the indices
+past the largest in use, so an adversary sees fresh randomness after every
+update. The ``generation`` counter exposes this change of the sketching
 map, so that callers can invalidate anything they sketched earlier (for
 example a label vector).
 
@@ -38,9 +42,9 @@ The same helper draws an adaptive tree's next path ahead. Every spec is a
 pure function of the config seed, its row count and its draw index, and the
 next update's indices are known once an update commits. So a committed
 ``update_adaptive`` (on two or more CPUs) queues ``_path_specs`` for the
-next index k: the leaf spec of k for factor 0's row count, the node specs
-of k + 1 .. k + depth, and the internals of each. The helper stores the
-draw in one slot, ``_next``, only if k is still the next index. The next
+next index k: the specs of k .. k + depth in one list, a leaf's for factor
+0's row count and then the nodes', with their internals. The helper stores
+the draw in one slot, ``_next``, only if k is still the next index. The next
 ``update_adaptive`` reads the slot once and takes the draw if it holds its
 index; otherwise (the draw is queued, running or raised) it draws inline
 with the same function. It takes the drawn leaf only for a factor of that
@@ -54,6 +58,7 @@ Trees, draw indices and snapshots are bit for bit those of drawing inline.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -70,6 +75,7 @@ from .linalg import (
     as_matrix,
     as_sparse,
     as_vector,
+    updated_factors,
 )
 from .sketches import (
     DEFAULT_OSNAP_SPARSITY,
@@ -174,27 +180,34 @@ def _draw_seed(seed: int, k: int) -> int:
 def _fold(nodes, combine):
     """Pair adjacent nodes level by level up to the root, yielding each new level.
 
-    Node k of level l is ``combine((l, k), left, right)`` over its two
-    children; a lone rightmost node is promoted unchanged (the same array,
-    as node matrices are never modified in place). Only the newest level is
-    held, so a caller that keeps just the root keeps memory flat.
+    Each paired node is ``combine(slot, left, right)`` over its two children,
+    its slot counting on from the leaves' (the q leaves are slots 0..q-1, the
+    paired nodes follow level by level, left to right, and the root is last);
+    a lone rightmost node is promoted unchanged (the same array, as node
+    matrices are never modified in place). Only the newest level is held, so
+    a caller that keeps just the root keeps memory flat.
     """
-    level = 0
+    slots = itertools.count(len(nodes))
     while len(nodes) > 1:
-        level += 1
         nodes = [
-            combine((level, k // 2), *nodes[k:k + 2]) if k + 1 < len(nodes) else nodes[k]
+            combine(next(slots), *nodes[k:k + 2]) if k + 1 < len(nodes) else nodes[k]
             for k in range(0, len(nodes), 2)
         ]
         yield nodes
 
 
-def _node_keys(q: int) -> list[tuple[int, int]]:
-    """(level, k) of every paired node of a q-leaf tree, level by level, left to right."""
-    keys = []
-    for _ in _fold([None] * q, lambda key, left, right: keys.append(key)):
+def _slots_above(q: int, leaves) -> list[int]:
+    """Slots of the paired nodes above any of ``leaves`` in a q-leaf tree, bottom-up."""
+    slots = []
+
+    def combine(slot, left, right):
+        if left or right:
+            slots.append(slot)
+        return left or right
+
+    for _ in _fold([i in leaves for i in range(q)], combine):
         pass
-    return keys
+    return slots
 
 
 class TensorTree:
@@ -202,8 +215,8 @@ class TensorTree:
 
     Factor matrices are stored in full: an update re-sketches the updated
     factor, and the factored low-rank output hands them back to the caller.
-    ``levels`` holds the node matrices level by level, leaves first, the root
-    last; treat it as read-only.
+    Every node has one slot (see ``_fold``): ``specs[j]``, ``draws[j]`` and
+    ``nodes[j]`` are its spec, draw index and matrix. Treat them as read-only.
     """
 
     def __init__(self, factors, config: TreeConfig):
@@ -222,12 +235,10 @@ class TensorTree:
                 raise DimensionError("factors must be nonempty")
             d *= f.shape[1]
         if config.m * d > MAX_ELEMENTS:
-            raise DimensionError(
-                f"root of shape {config.m} x {d} exceeds element limit"
-            )
+            raise DimensionError(f"root of shape {config.m} x {d} exceeds element limit")
         self.generation = 0
         self.recompute_counter = 0
-        self._next = None  # (index k, *_path_specs(k, ...)) drawn ahead, or None
+        self._next = None  # (index k, _path_specs(k, ...)) drawn ahead, or None
 
     # ------------------------------------------------------------------
     # structure helpers
@@ -239,13 +250,20 @@ class TensorTree:
     @property
     def depth(self) -> int:
         """Number of levels above the leaves, ceil(log2 q)."""
-        return len(self.levels) - 1
+        return (self.q - 1).bit_length()
 
     @property
     def root(self) -> np.ndarray:
         """Top node, an m x d matrix in its frame: Q M for a TensorSketch root.
         Treat as read-only."""
-        return self.levels[-1][0]
+        return self.nodes[-1]
+
+    @property
+    def levels(self) -> list[list[np.ndarray]]:
+        """The node matrices level by level, leaves first, the root last; a
+        promoted node appears again one level up."""
+        leaves = self.nodes[:self.q]
+        return [leaves, *_fold(leaves, lambda slot, left, right: self.nodes[slot])]
 
     def frame(self, b_sketch) -> np.ndarray:
         """Q b_sketch: a label sketch rotated into the root's frame.
@@ -257,10 +275,8 @@ class TensorTree:
         """
         b_sketch = as_vector(b_sketch)
         if b_sketch.size != self.config.m:
-            raise DimensionError(
-                f"sketched label length {b_sketch.size} != m {self.config.m}"
-            )
-        return to_frame(self.node_specs.get((self.depth, 0)), b_sketch)
+            raise DimensionError(f"sketched label length {b_sketch.size} != m {self.config.m}")
+        return to_frame(self.specs[-1], b_sketch)
 
     @property
     def node_count(self) -> int:
@@ -279,15 +295,14 @@ class TensorTree:
         cfg = self.config
         return TensorSketchSpec(cfg.t_family, cfg.m, cfg.m, _draw_seed(cfg.seed, k))
 
-    def _path_specs(self, k: int, n: int, count: int):
-        """The leaf spec of draw index k for n rows and the node specs of
-        indices k + 1 .. k + count, each with its internals drawn."""
-        leaf = self._leaf_spec(n, k)
-        _base_internals(leaf)
-        nodes = [self._node_spec(j) for j in range(k + 1, k + 1 + count)]
-        for spec in nodes:
+    def _path_specs(self, k: int, n: int, count: int) -> list:
+        """The specs of draw indices k .. k + count, each with its internals
+        drawn: a leaf's for n rows, then ``count`` nodes'."""
+        specs = [self._leaf_spec(n, k), *map(self._node_spec, range(k + 1, k + 1 + count))]
+        _base_internals(specs[0])
+        for spec in specs[1:]:
             _tensor_internals(spec)
-        return leaf, nodes
+        return specs
 
     def _draw_ahead(self) -> None:
         """Queue the next adaptive update's path draws on the helper thread,
@@ -301,7 +316,7 @@ class TensorTree:
             # stale once an update has drawn k inline; a store that races that
             # update's commit leaves an index that no later update asks for
             if max(self.draws) + 1 == k:
-                self._next = (k, *drawn)
+                self._next = (k, drawn)
 
         _submit(draw)  # without the helper the next update draws inline
 
@@ -309,65 +324,52 @@ class TensorTree:
     # construction
 
     def _init_specs(self, draws) -> None:
-        """Leaf then node specs (``_node_keys`` order) from their draw indices; then all nodes."""
-        leaf_specs = [self._leaf_spec(f.shape[0], k) for f, k in zip(self.factors, draws)]
-        node_specs = dict(zip(_node_keys(self.q), map(self._node_spec, draws[self.q:])))
-        self._refold(range(self.q), self.factors, leaf_specs, node_specs)
+        """Every slot's spec from its draw index; then all nodes."""
+        specs = [self._leaf_spec(f.shape[0], k) for f, k in zip(self.factors, draws)]
+        specs += map(self._node_spec, draws[self.q:])
+        self._refold(range(self.q), self.factors, specs)
         self.draws = list(draws)
 
-    def _refold(self, dirty, factors, leaf_specs, node_specs) -> None:
+    def _refold(self, dirty, factors, specs) -> None:
         """Recompute the ``dirty`` leaves and the nodes above them, reusing the rest,
         and store the result only once the new root is known to be finite."""
         leaves = [
-            apply_base(leaf_specs[i], f) if i in dirty else self.levels[0][i]
+            apply_base(specs[i], f) if i in dirty else self.nodes[i]
             for i, f in enumerate(factors)
         ]
+        nodes, above, root = list(leaves), set(_slots_above(len(leaves), dirty)), len(specs) - 1
 
-        # node k of level l sits above leaves i with i >> l == k; ceil(log2 q) levels
-        depth = (len(factors) - 1).bit_length()
-        above = {(level, i >> level) for i in dirty for level in range(1, depth + 1)}
+        def combine(slot, left, right):
+            if slot in above:
+                node = apply_tensor_pair(specs[slot], left, right, frame=slot == root)
+            else:
+                node = self.nodes[slot]
+            nodes.append(node)
+            return node
 
-        def combine(key, left, right):
-            if key in above:
-                return apply_tensor_pair(node_specs[key], left, right, frame=key == (depth, 0))
-            level, k = key
-            return self.levels[level][k]
-
-        levels = [leaves, *_fold(leaves, combine)]
-        if not np.isfinite(levels[-1][0]).all():
+        for _ in _fold(leaves, combine):
+            pass
+        if not np.isfinite(nodes[-1]).all():
             raise ValueError("root sketch has non-finite entries")
-        self.factors, self.leaf_specs, self.node_specs = factors, leaf_specs, node_specs
-        self.levels = levels
+        self.factors, self.specs, self.nodes = factors, specs, nodes
 
     # ------------------------------------------------------------------
     # updates
 
-    def _updated_factors(self, i: int, B) -> list[np.ndarray]:
-        """The factors with A_i + B in place of A_i, after checking i and B."""
-        if not 0 <= i < self.q:
-            raise IndexError(f"factor index {i} out of range [0, {self.q})")
-        B = as_matrix(B)
-        if B.shape != self.factors[i].shape:
-            raise DimensionError(
-                f"update shape {B.shape} != factor shape {self.factors[i].shape}"
-            )
-        factors = list(self.factors)
-        factors[i] = factors[i] + B
-        return factors
-
     def update(self, i: int, B) -> None:
         """Apply A_i <- A_i + B, keeping every spec: the nodes then equal a fresh
         build's under those specs, or this raises and changes nothing."""
-        self._refold({i}, self._updated_factors(i, B), self.leaf_specs, self.node_specs)
-        self.recompute_counter = len(self.levels)
+        self._refold({i}, updated_factors(self.factors, i, B), self.specs)
+        self.recompute_counter = self.depth + 1
 
     def update_adaptive(self, i: int, B) -> None:
         """Apply A_i <- A_i + B with fresh sketches along the path.
 
-        Leaf i, then each paired node above it, bottom-up, gets the spec of the
-        next draw index past the largest in use, so no randomness is reused
-        where the update landed. The indices are stored only once the refold
-        has committed, so a call that raises leaves the next seed unchanged.
+        The slots of the path, leaf i and then each paired node above it,
+        bottom-up, get the specs of the next draw indices past the largest in
+        use, so no randomness is reused where the update landed. The indices
+        are stored only once the refold has committed, so a call that raises
+        leaves the next seed unchanged.
         A call whose new indices would not fit a snapshot's 64 bits raises
         before drawing them. The specs come from the helper's draw ahead if it
         holds this call's index, else are drawn inline (see the module
@@ -377,31 +379,25 @@ class TensorTree:
             raise ConfigurationError(
                 "update_adaptive requires a tree built with adaptive=True"
             )
-        factors = self._updated_factors(i, B)
-        draws = list(self.draws)
-        draws[i] = k = max(draws) + 1
-        path = [  # bottom-up
-            (slot, key) for slot, key in enumerate(_node_keys(self.q), self.q) if i >> key[0] == key[1]
-        ]
-        if k + len(path) >= MAX_SEED:
-            raise ValueError(f"spec draw index {k + len(path)} does not fit in 64 bits")
+        factors = updated_factors(self.factors, i, B)
+        path = [i, *_slots_above(self.q, {i})]
+        k = max(self.draws) + 1
+        if k + len(path) > MAX_SEED:
+            raise ValueError(f"spec draw index {k + len(path) - 1} does not fit in 64 bits")
         n = factors[i].shape[0]
-        drawn = self._next  # read once: the helper may replace it
-        if drawn is not None and drawn[0] == k:
-            _, leaf, nodes = drawn
+        ahead = self._next  # read once: the helper may replace it
+        if ahead is not None and ahead[0] == k:
+            drawn = ahead[1]
         else:
-            leaf, nodes = self._path_specs(k, n, len(path))
-        if leaf.input_dim != n:  # drawn ahead for factor 0's row count
-            leaf = self._path_specs(k, n, 0)[0]
-        leaf_specs = list(self.leaf_specs)
-        leaf_specs[i] = leaf
-        node_specs = dict(self.node_specs)
-        for j, ((slot, key), spec) in enumerate(zip(path, nodes), k + 1):
-            draws[slot] = j
-            node_specs[key] = spec
-        self._refold({i}, factors, leaf_specs, node_specs)
+            drawn = self._path_specs(k, n, len(path) - 1)
+        if drawn[0].input_dim != n:  # drawn ahead for factor 0's row count
+            drawn = self._path_specs(k, n, 0) + drawn[1:]
+        specs, draws = list(self.specs), list(self.draws)
+        for j, (slot, spec) in enumerate(zip(path, drawn), k):
+            specs[slot], draws[slot] = spec, j
+        self._refold({i}, factors, specs)
         self.draws = draws
-        self.recompute_counter = len(self.levels)
+        self.recompute_counter = self.depth + 1
         self.generation += 1
         self._draw_ahead()
 
@@ -442,8 +438,8 @@ class TensorTree:
         if cfg.c_family is BaseFamily.COUNT_SKETCH and (
             cfg.t_family is TensorFamily.TENSOR_SKETCH or self.q == 1
         ):
-            cols = [countsketch_columns(s, d) for s, d in zip(self.leaf_specs, digits)]
-            for cols in _fold(cols, self._pair_one_hot):
+            cols = [countsketch_columns(s, d) for s, d in zip(self.specs, digits)]
+            for cols in _fold(cols, lambda slot, l, r: tensorsketch_cols(self.specs[slot], l, r)):
                 pass
             rows, signs = cols[0]
             return np.bincount(rows, weights=signs * sv.values, minlength=cfg.m)
@@ -456,10 +452,10 @@ class TensorTree:
         parts = [slice(start, start + chunk) for start in range(0, sv.nnz, chunk)]
 
         def sketch_chunk(part, work):
-            def pair(key, left, right):
-                return apply_tensor_cols(self.node_specs[key], left, right, work=work)
+            def pair(slot, left, right):
+                return apply_tensor_cols(self.specs[slot], left, right, work=work)
 
-            mats = [leaf_columns(s, d[part]) for s, d in zip(self.leaf_specs, digits)]
+            mats = [leaf_columns(s, d[part]) for s, d in zip(self.specs, digits)]
             for mats in _fold(mats, pair):
                 pass
             return mats[0] @ sv.values[part]
@@ -515,19 +511,13 @@ class TensorTree:
                 future.result()
         return out
 
-    def _pair_one_hot(self, key, left, right):
-        return tensorsketch_cols(self.node_specs[key], left, right)
-
     # ------------------------------------------------------------------
     # snapshots: config, generation, factors and spec draw indices; everything
     # else (spec seeds, shapes and families, node matrices) is derived on load
 
     def save(self, path) -> None:
-        """Write a KTTR5 snapshot: header, factors, then the 2q - 1 draw indices.
-
-        The indices are the leaves' in order, then the paired nodes' in
-        ``_node_keys`` order.
-        """
+        """Write a KTTR5 snapshot: header, factors, then the 2q - 1 draw indices
+        in slot order (the leaves', then the paired nodes' bottom-up, the root's last)."""
         cfg = self.config
         parts = [SNAPSHOT_MAGIC]
         parts.append(

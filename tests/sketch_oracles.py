@@ -57,10 +57,10 @@ def materialize(spec) -> np.ndarray:
 
 def materialize_sketch(tree) -> np.ndarray:
     """Explicit m x n composite sketching matrix of a tree, in the time domain."""
-    def pair(key, left, right):
-        return apply_tensor_pair(tree.node_specs[key], left, right)
+    def pair(slot, left, right):
+        return apply_tensor_pair(tree.specs[slot], left, right)
 
-    mats = [materialize(spec) for spec in tree.leaf_specs]
+    mats = [materialize(spec) for spec in tree.specs[:tree.q]]
     for mats in _fold(mats, pair):
         pass
     return mats[0]

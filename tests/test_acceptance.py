@@ -321,7 +321,7 @@ def test_criterion_8_sketch_vs_materialization():
             cfg = TreeConfig(pair[0], pair[1], 8, seed=880 + q)
             tree = TensorTree(factors, cfg)
             Pi = materialize_sketch(tree)
-            root_spec = tree.node_specs.get((tree.depth, 0))  # the root is in its frame
+            root_spec = tree.specs[-1]  # the root is in its frame
             worst = max(
                 worst,
                 np.abs(to_frame(root_spec, Pi @ kron_chain(factors)) - tree.root).max(),

@@ -252,6 +252,26 @@ class TestReplay:
             (r.event, r.kind, r.cost, r.oracle_cost, r.ratio) for r in b
         ]
 
+    def test_lowrank_replay_sketches_no_label(self, scenario_files, monkeypatch):
+        # the lowrank query reads no label sketch: with --label and a B event
+        # the replay sketches nothing, and its records are those without them
+        tmp_path, factor_paths = scenario_files
+        calls, sketch = [], TensorTree.sketch_vector
+        monkeypatch.setattr(TensorTree, "sketch_vector",
+                            lambda tree, b: calls.append(b) or sketch(tree, b))
+        records = replay(base_scenario(tmp_path, factor_paths, solver="lowrank", rank=2))
+        assert calls == []
+        assert [r.kind for r in records] == ["init", "query", "update", "query", "label", "query"]
+        (tmp_path / "plain.txt").write_text("Q\nU 1 B.kmat\nQ\nQ\n")
+        plain = replay(base_scenario(tmp_path, factor_paths, solver="lowrank", rank=2,
+                                     label=None, stream=str(tmp_path / "plain.txt")))
+
+        def rows(records):
+            return [(r.kind, r.nodes_recomputed, r.cost, r.oracle_cost, r.ratio)
+                    for r in records if r.kind != "label"]
+
+        assert rows(records) == rows(plain)
+
     def test_oracle_toggle_off(self, scenario_files):
         tmp_path, factor_paths = scenario_files
         records = replay(base_scenario(tmp_path, factor_paths, oracle=False))

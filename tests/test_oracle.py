@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kronsketch.bench import Scenario
 from kronsketch.linalg import (
     DimensionError,
     RegularizationError,
@@ -24,6 +26,7 @@ from kronsketch.oracle import (
     leverage_sample_regression,
     leverage_scores,
 )
+from kronsketch.sketches import BaseFamily, TensorFamily, choose_m
 from kronsketch.solvers import SplineSpec
 
 RNG = np.random.default_rng(41)
@@ -166,6 +169,40 @@ class TestLeverageSampleRegression:
         assert hits >= 17
 
 
+ACCURACY_MESSAGE = re.escape("need 0 < eps <= 1 and 0 < delta < 1")
+
+
+class TestAccuracyRule:
+    """One rule for eps, delta and c_factor at all three entry points."""
+
+    @staticmethod
+    def entry_points(eps):
+        factors, b = [np.eye(2), np.eye(2)], np.ones(4)
+        return [
+            lambda: choose_m(BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, 4, 2, eps, 0.1),
+            lambda: LeverageBaseline(factors, b, eps, 0.2).query(),
+            lambda: leverage_sample_regression(factors, b, eps, 0.2),
+        ]
+
+    def test_eps_one_accepted(self):
+        for call in self.entry_points(1.0):
+            call()
+        # the scenario passes its accuracy check and stops at the next one
+        with pytest.raises(ValueError, match="need factor paths"):
+            Scenario(eps=1.0).validate()
+
+    @pytest.mark.parametrize("eps", [1.0 + 1e-12, math.nan])
+    def test_eps_past_one_or_nan_rejected(self, eps):
+        for call in [*self.entry_points(eps), Scenario(eps=eps).validate]:
+            with pytest.raises(ValueError, match=ACCURACY_MESSAGE):
+                call()
+
+    @pytest.mark.parametrize("c_factor", [math.nan, 0.0])
+    def test_scenario_c_factor_checked(self, c_factor):
+        with pytest.raises(ValueError, match="c_factor must be finite and positive"):
+            Scenario(cfactor=c_factor).validate()
+
+
 class TestLeverageBaseline:
     @pytest.mark.parametrize(
         "eps, delta",
@@ -174,9 +211,9 @@ class TestLeverageBaseline:
     )
     def test_accuracy_parameters_checked(self, eps, delta):
         factors, b = [np.eye(2), np.eye(2)], np.ones(4)
-        with pytest.raises(ValueError, match="need eps > 0 and 0 < delta < 1"):
+        with pytest.raises(ValueError, match=ACCURACY_MESSAGE):
             LeverageBaseline(factors, b, eps, delta)
-        with pytest.raises(ValueError, match="need eps > 0 and 0 < delta < 1"):
+        with pytest.raises(ValueError, match=ACCURACY_MESSAGE):
             leverage_sample_regression(factors, b, eps, delta)
 
     @pytest.mark.parametrize("c_factor", [math.nan, math.inf, 0.0, -1.0])

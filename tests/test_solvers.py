@@ -377,8 +377,7 @@ class TestRootFrame:
         tree = TensorTree(factors, TreeConfig(*pair, m=m, adaptive=adaptive, seed=seed))
         if adaptive:
             tree.update_adaptive(q - 1, rng.standard_normal(factors[-1].shape))
-        spec = tree.node_specs.get((tree.depth, 0))
-        M = tree.root if spec is None else apply_tensor_pair(spec, *tree.levels[-2])
+        M = tree.root if q == 1 else apply_tensor_pair(tree.specs[-1], *tree.levels[-2])
         b = rng.standard_normal(m)
         d = M.shape[1]
         identity = q == 1 or pair[1] is TensorFamily.TENSOR_SRHT

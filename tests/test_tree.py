@@ -1,20 +1,31 @@
 import itertools
 import os
+import shutil
 import signal
 import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
 import tracemalloc
 import weakref
 from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from kronsketch.linalg import DimensionError, RegularizationError, SparseVector, kron, kron_chain
 from kronsketch.sketches import (
@@ -33,7 +44,15 @@ from kronsketch.sketches import (
 )
 from kronsketch import solvers
 from kronsketch import tree as tree_module
-from kronsketch.tree import _HEADER, SNAPSHOT_MAGIC, TensorTree, TreeConfig, _draw_seed, _fold
+from kronsketch.tree import (
+    _HEADER,
+    SNAPSHOT_MAGIC,
+    TensorTree,
+    TreeConfig,
+    _draw_seed,
+    _fold,
+    _slots_above,
+)
 from sketch_oracles import materialize, materialize_sketch
 
 RNG = np.random.default_rng(314)
@@ -66,39 +85,33 @@ def node_errors(tree, other):
     return max(errs)
 
 
+def expected_nodes(tree):
+    """(stored, expected) per slot: each leaf's base sketch of its factor, and
+    each paired node's sketch of its stored children, the root in its frame."""
+    out = [(tree.nodes[i], apply_base(tree.specs[i], f)) for i, f in enumerate(tree.factors)]
+    root = len(tree.specs) - 1
+
+    def combine(slot, left, right):
+        out.append((tree.nodes[slot],
+                    apply_tensor_pair(tree.specs[slot], left, right, frame=slot == root)))
+        return tree.nodes[slot]
+
+    for _ in _fold(tree.nodes[:tree.q], combine):
+        pass
+    return out
+
+
 def check_node_invariants(tree, tol=1e-10):
-    for i, (spec, f) in enumerate(zip(tree.leaf_specs, tree.factors)):
-        assert np.allclose(tree.levels[0][i], apply_base(spec, f), atol=tol)
-    for level in range(1, len(tree.levels)):
-        for k in range(len(tree.levels[level])):
-            spec = tree.node_specs.get((level, k))
-            if spec is not None:
-                expected = apply_tensor_pair(
-                    spec, tree.levels[level - 1][2 * k], tree.levels[level - 1][2 * k + 1],
-                    frame=level == tree.depth,
-                )
-                scale = max(1.0, np.abs(expected).max())
-                assert np.allclose(tree.levels[level][k], expected, atol=tol * scale)
-            else:
-                assert np.array_equal(
-                    tree.levels[level][k], tree.levels[level - 1][2 * k]
-                )
+    for slot, (node, expected) in enumerate(expected_nodes(tree)):
+        scale = 1.0 if slot < tree.q else max(1.0, np.abs(expected).max())
+        assert np.allclose(node, expected, atol=tol * scale)
 
 
 def check_nodes_exact(tree):
     """Every node is bit for bit the sketch of its stored spec and children,
     the root in its frame."""
-    for i, (spec, f) in enumerate(zip(tree.leaf_specs, tree.factors)):
-        assert np.array_equal(tree.levels[0][i], apply_base(spec, f))
-    for level in range(1, len(tree.levels)):
-        for k, node in enumerate(tree.levels[level]):
-            children = tree.levels[level - 1][2 * k:2 * k + 2]
-            spec = tree.node_specs.get((level, k))
-            if spec is None:
-                expected = children[0]
-            else:
-                expected = apply_tensor_pair(spec, *children, frame=level == tree.depth)
-            assert np.array_equal(node, expected)
+    for node, expected in expected_nodes(tree):
+        assert np.array_equal(node, expected)
 
 
 def tree_state(tree):
@@ -106,8 +119,7 @@ def tree_state(tree):
     return (
         [f.copy() for f in tree.factors],
         [[node.copy() for node in level] for level in tree.levels],
-        list(tree.leaf_specs),
-        dict(tree.node_specs),
+        list(tree.specs),
         tree.generation,
         list(tree.draws),
         _draw_seed(tree.config.seed, max(tree.draws) + 1),
@@ -129,16 +141,16 @@ class TestInitialize:
     def test_single_factor_root_is_leaf_sketch(self):
         A = RNG.standard_normal((6, 3))
         tree = TensorTree([A], TreeConfig(m=5, seed=1))
-        assert np.array_equal(tree.root, apply_base(tree.leaf_specs[0], A))
+        assert np.array_equal(tree.root, apply_base(tree.specs[0], A))
         assert tree.depth == 0
 
     def test_two_factor_root_brute_force(self):
         cfg = TreeConfig(m=6, seed=2)
         tree = TensorTree([np.eye(2), np.eye(2)], cfg)
-        C1 = materialize(tree.leaf_specs[0])
-        C2 = materialize(tree.leaf_specs[1])
-        T = materialize(tree.node_specs[(1, 0)])
-        expected = to_frame(tree.node_specs[1, 0], T @ kron(C1, C2))
+        C1 = materialize(tree.specs[0])
+        C2 = materialize(tree.specs[1])
+        T = materialize(tree.specs[2])
+        expected = to_frame(tree.specs[2], T @ kron(C1, C2))
         assert np.allclose(tree.root, expected, atol=1e-10)
 
     def test_root_shape(self):
@@ -239,8 +251,8 @@ class TestDrawSeed:
     def test_build_uses_the_first_indices(self):
         tree = TensorTree(random_factors(5), TreeConfig(m=4, seed=30))
         assert tree.draws == list(range(9))
-        assert [s.seed for s in tree.leaf_specs] == [_draw_seed(30, k) for k in range(5)]
-        assert tree.node_specs[3, 0].seed == _draw_seed(30, 8)
+        assert [s.seed for s in tree.specs[:5]] == [_draw_seed(30, k) for k in range(5)]
+        assert tree.specs[-1].seed == _draw_seed(30, 8)
 
 
 class TestUpdate:
@@ -373,10 +385,10 @@ class TestUpdateAdaptive:
     def test_fresh_seeds_each_update(self):
         factors = random_factors(4)
         tree = TensorTree(factors, TreeConfig(m=6, adaptive=True, seed=12))
-        seeds = {tree.leaf_specs[2].seed}
+        seeds = {tree.specs[2].seed}
         for _ in range(3):
             tree.update_adaptive(2, np.zeros_like(factors[2]))
-            seeds.add(tree.leaf_specs[2].seed)
+            seeds.add(tree.specs[2].seed)
         assert len(seeds) == 4
 
     def test_cancel_and_restore(self):
@@ -393,12 +405,12 @@ class TestUpdateAdaptive:
     def test_replaced_spec_internals_freed(self):
         config = TreeConfig(BaseFamily.OSNAP, TensorFamily.TENSOR_SRHT, m=6, adaptive=True, seed=15)
         tree = TensorTree(random_factors(3), config)
-        leaf = weakref.ref(_base_internals(tree.leaf_specs[1])[0])
-        node = weakref.ref(_tensor_internals(tree.node_specs[1, 0])[1])
-        kept = _base_internals(tree.leaf_specs[0])[0]
+        leaf = weakref.ref(_base_internals(tree.specs[1])[0])
+        node = weakref.ref(_tensor_internals(tree.specs[3])[1])
+        kept = _base_internals(tree.specs[0])[0]
         tree.update_adaptive(1, np.zeros_like(tree.factors[1]))
         assert leaf() is None and node() is None
-        assert _base_internals(tree.leaf_specs[0])[0] is kept  # off the path
+        assert _base_internals(tree.specs[0])[0] is kept  # off the path
 
     def test_off_path_nodes_untouched(self):
         factors = [RNG.standard_normal((4, 2)) for _ in range(4)]
@@ -418,15 +430,15 @@ class TestFailedUpdate:
     def _overflow(tree, case, i):
         # rows signed so that a sum the update runs adds them all, past float
         # range, under the specs the update will use
-        spec = tree.leaf_specs[i]
+        spec = tree.specs[i]
         if tree.config.adaptive:
             spec = tree._leaf_spec(spec.input_dim, max(tree.draws) + 1)
         signs = base_columns(spec, np.arange(spec.input_dim))
         if case == "big":
-            # m = 8, q = 3, i = 1: leaf 1 is the right side of node (1, 0),
-            # whose count sketch of it keeps every row one-hot; the sum is
-            # the DC bin of that side's rfft
-            node = tree.node_specs[1, 0]
+            # m = 8, q = 3, i = 1: leaf 1 is the right side of slot 3, whose
+            # count sketch of it keeps every row one-hot; the sum is the DC
+            # bin of that side's rfft
+            node = tree.specs[3]
             if tree.config.adaptive:
                 node = tree._node_spec(max(tree.draws) + 2)
             signs = _tensor_internals(node)[1] @ signs
@@ -508,9 +520,8 @@ class TestRootFrame:
         for step in steps:
             i = step % q
             (tree.update_adaptive if adaptive else tree.update)(i, rng.standard_normal(factors[i].shape))
-        R = tree.root
-        spec = tree.node_specs.get((tree.depth, 0))
-        M = R if spec is None else apply_tensor_pair(spec, *tree.levels[-2])
+        R, spec = tree.root, tree.specs[-1]
+        M = R if q == 1 else apply_tensor_pair(spec, *tree.levels[-2])
         # Q is orthogonal: the Gram matrices agree, and R is Q M column by column
         gram = M.T @ M
         assert np.linalg.norm(R.T @ R - gram) <= 1e-13 * np.linalg.norm(gram)
@@ -564,15 +575,15 @@ class TestRootFrame:
         solvers.lowrank_query(tree, 3)
         assert tree.depth == 2 and tree.node_count == 7
         assert pairs == [] and ffts == ["rfft", "rfft"]
-        root = pair_nodes(tree.node_specs[2, 0], *tree.levels[1], frame=True)
+        root = pair_nodes(tree.specs[-1], *tree.levels[1], frame=True)
         assert np.array_equal(tree.root, root)
 
 
 def folded_label(tree, sv):
     """Reference label sketch: every nonzero's base columns folded up the tree at once."""
     digits = np.unravel_index(sv.indices, [f.shape[0] for f in tree.factors])
-    mats = [base_columns(spec, d) for spec, d in zip(tree.leaf_specs, digits)]
-    for mats in _fold(mats, lambda key, l, r: apply_tensor_cols(tree.node_specs[key], l, r)):
+    mats = [base_columns(spec, d) for spec, d in zip(tree.specs, digits)]
+    for mats in _fold(mats, lambda slot, l, r: apply_tensor_cols(tree.specs[slot], l, r)):
         pass
     return mats[0] @ sv.values
 
@@ -952,10 +963,10 @@ class TestDrawAhead:
                 ahead = tree._next
                 self.drive(tree, [op])
                 if ahead is not None and op[0] == "adaptive":
-                    _, leaf, nodes = ahead
-                    assert (tree.leaf_specs[op[1]] is leaf) == (rows[op[1]] == rows[0])
-                    assert set(map(id, nodes)) >= {
-                        id(s) for key, s in tree.node_specs.items() if op[1] >> key[0] == key[1]}
+                    _, drawn = ahead
+                    assert (tree.specs[op[1]] is drawn[0]) == (rows[op[1]] == rows[0])
+                    assert set(map(id, drawn[1:])) >= {
+                        id(tree.specs[slot]) for slot in _slots_above(q, {op[1]})}
             inline = self.snapshot(tree, tmp_path / "inline.kttr")
         with monkeypatch.context() as patch:
             patch.setattr(tree_module, "_usable_cpus", lambda: 1)
@@ -1082,7 +1093,7 @@ class TestMaterializeSketch:
     def test_single_factor(self):
         A = RNG.standard_normal((5, 2))
         tree = TensorTree([A], TreeConfig(m=4, seed=20))
-        assert np.array_equal(materialize_sketch(tree), materialize(tree.leaf_specs[0]))
+        assert np.array_equal(materialize_sketch(tree), materialize(tree.specs[0]))
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_sketch_times_chain_equals_root(self, q):
@@ -1090,7 +1101,7 @@ class TestMaterializeSketch:
         factors = [rng.standard_normal((4, 2)) for _ in range(q)]
         tree = TensorTree(factors, TreeConfig(m=9, seed=21 + q))
         sketched = materialize_sketch(tree) @ kron_chain(factors)
-        lhs = to_frame(tree.node_specs[tree.depth, 0], sketched)  # the root's frame
+        lhs = to_frame(tree.specs[-1], sketched)  # the root's frame
         scale = max(1.0, np.abs(tree.root).max())
         assert np.allclose(lhs, tree.root, atol=1e-9 * scale)
 
@@ -1122,8 +1133,7 @@ class TestSnapshot:
         tree.save(path)
         loaded = TensorTree.load(path)
         assert loaded.config == tree.config
-        assert loaded.leaf_specs == tree.leaf_specs
-        assert loaded.node_specs == tree.node_specs
+        assert loaded.specs == tree.specs
         for a, b in zip(loaded.factors, tree.factors):
             assert np.array_equal(a, b)
         assert node_errors(loaded, tree) <= 1e-10
@@ -1136,11 +1146,11 @@ class TestSnapshot:
         path = tmp_path / "tree.kttr"
         tree.save(path)
         loaded = TensorTree.load(path)
-        assert loaded.leaf_specs == tree.leaf_specs
+        assert loaded.specs[:3] == tree.specs[:3]
         # the draw indices continue where the saved tree stopped
         loaded.update_adaptive(0, np.zeros_like(loaded.factors[0]))
         tree.update_adaptive(0, np.zeros_like(tree.factors[0]))
-        assert loaded.leaf_specs[0].seed == tree.leaf_specs[0].seed
+        assert loaded.specs[0].seed == tree.specs[0].seed
 
     @given(
         st.sampled_from(FAMILY_PAIRS),
@@ -1166,7 +1176,7 @@ class TestSnapshot:
         assert (loaded.config, loaded.draws, loaded.generation) == (
             tree.config, tree.draws, tree.generation
         )
-        assert (loaded.leaf_specs, loaded.node_specs) == (tree.leaf_specs, tree.node_specs)
+        assert loaded.specs == tree.specs
         for la, lb in zip(loaded.levels, tree.levels, strict=True):
             assert all(np.array_equal(a, b) for a, b in zip(la, lb, strict=True))
         # the next adaptive update draws the same seeds in both trees
@@ -1174,7 +1184,7 @@ class TestSnapshot:
         for t in (tree, loaded):
             t.update_adaptive(i, np.zeros_like(t.factors[i]))
         assert loaded.draws == tree.draws
-        assert (loaded.leaf_specs, loaded.node_specs) == (tree.leaf_specs, tree.node_specs)
+        assert loaded.specs == tree.specs
 
     def test_magic_bytes(self, tmp_path):
         tree = TensorTree([np.eye(2)], TreeConfig(m=3, seed=25))
@@ -1240,8 +1250,8 @@ class TestSnapshot:
         tree = TensorTree.load(path)
         assert tree.config.c_family is list(BaseFamily)[cb]
         assert tree.config.t_family is list(TensorFamily)[tb]
-        assert all(s.family is tree.config.c_family for s in tree.leaf_specs)
-        assert all(s.family is tree.config.t_family for s in tree.node_specs.values())
+        assert all(s.family is tree.config.c_family for s in tree.specs[:tree.q])
+        assert all(s.family is tree.config.t_family for s in tree.specs[tree.q:])
         check_node_invariants(tree)
 
     def test_forged_factor_count_rejected(self, tmp_path):
@@ -1292,12 +1302,12 @@ class TestSnapshot:
         path = tmp_path / "tree.kttr"
         tree.save(path)
         loaded = TensorTree.load(path)
-        stored = {s.seed for s in [*loaded.leaf_specs, *loaded.node_specs.values()]}
+        stored = {s.seed for s in loaded.specs}
         assert len(stored) == 7
         loaded.update_adaptive(1, np.zeros_like(loaded.factors[1]))
-        assert loaded.leaf_specs[1].seed not in stored
-        assert loaded.node_specs[1, 0].seed not in stored
-        assert loaded.node_specs[2, 0].seed not in stored
+        assert loaded.specs[1].seed not in stored
+        assert loaded.specs[4].seed not in stored
+        assert loaded.specs[6].seed not in stored
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path, raw = self._saved(tmp_path)
@@ -1330,3 +1340,139 @@ class TestSnapshot:
                 assert tracemalloc.get_traced_memory()[1] < 4 * len(raw) + (1 << 16)
         finally:
             tracemalloc.stop()
+
+
+class TreeStateMachine(RuleBasedStateMachine):
+    """Random mixes of updates, raising calls and snapshot round trips on one
+    tree at desk scale, with the tree-state invariants checked after every step."""
+
+    ALL_PAIRS = list(itertools.product(BaseFamily, TensorFamily))
+
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp(prefix="kronsketch-machine-"))
+        self.tree = None
+
+    def teardown(self):
+        drain()  # the helper's last draw writes to this tree
+        shutil.rmtree(self.dir, ignore_errors=True)
+
+    def saved(self) -> bytes:
+        path = self.dir / "tree.kttr"
+        self.tree.save(path)
+        return path.read_bytes()
+
+    def factor(self, i):
+        tree = self.tree
+        return tree.factors[i % tree.q]
+
+    @initialize(
+        pair=st.sampled_from(ALL_PAIRS),
+        q=st.integers(1, 5),
+        m=st.sampled_from([3, 4, 8]),
+        equal_rows=st.booleans(),
+        adaptive=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def build(self, pair, q, m, equal_rows, adaptive, seed):
+        # more rows than m, so that an overflowing update can always be built
+        self.rng = rng = np.random.default_rng(seed)
+        rows = [m + 2] * q if equal_rows else [int(r) for r in rng.integers(m + 1, m + 5, size=q)]
+        factors = [rng.standard_normal((r, int(rng.integers(1, 3)))) for r in rows]
+        self.tree = TensorTree(factors, TreeConfig(*pair, m=m, adaptive=adaptive, seed=seed))
+        self.generation = 0
+        self.ahead = None
+
+    @rule(i=st.integers(0, 4))
+    def update(self, i):
+        tree = self.tree
+        tree.update(i % tree.q, self.rng.standard_normal(self.factor(i).shape))
+        assert tree.recompute_counter == tree.depth + 1
+
+    @precondition(lambda self: self.tree.config.adaptive)
+    @rule(i=st.integers(0, 4))
+    def update_adaptive(self, i):
+        tree = self.tree
+        tree.update_adaptive(i % tree.q, self.rng.standard_normal(self.factor(i).shape))
+        self.generation += 1
+        assert tree.recompute_counter == tree.depth + 1
+
+    @precondition(lambda self: self.tree.config.adaptive and tree_module._usable_cpus() > 1)
+    @rule(i=st.integers(0, 4), j=st.integers(0, 4))
+    def updates_behind_a_busy_helper(self, i, j):
+        # the first update's draw ahead waits behind another task, and the
+        # second update, on one CPU, queues none: the first's draw is stale
+        tree, usable_cpus = self.tree, tree_module._usable_cpus
+        release = threading.Event()
+        blocker = tree_module._worker.submit(release.wait, 30)
+        try:
+            tree.update_adaptive(i % tree.q, self.rng.standard_normal(self.factor(i).shape))
+            tree_module._usable_cpus = lambda: 1
+            tree.update_adaptive(j % tree.q, self.rng.standard_normal(self.factor(j).shape))
+        finally:
+            tree_module._usable_cpus = usable_cpus
+            release.set()
+            blocker.result(timeout=30)
+        self.generation += 2
+
+    def overflowing(self, i, adaptive):
+        # every row of B signed as one output row of the leaf spec the update
+        # will use, so that row's sum leaves float range (rows > m)
+        tree = self.tree
+        n = self.factor(i).shape[0]
+        spec = tree._leaf_spec(n, max(tree.draws) + 1 if adaptive else tree.draws[i % tree.q])
+        C = base_columns(spec, np.arange(n))
+        row = C[np.abs(C).sum(axis=1).argmax()]
+        return 1.7e308 * np.sign(row)[:, None] * np.ones_like(self.factor(i))
+
+    @rule(i=st.integers(0, 4), kind=st.sampled_from(["shape", "nonfinite", "index", "overflow"]),
+          adaptive=st.booleans())
+    def raising_update(self, i, kind, adaptive):
+        tree = self.tree
+        B, index, error = self.rng.standard_normal(self.factor(i).shape), i % tree.q, ValueError
+        if kind == "shape":
+            B, error = B[:, :1].T, DimensionError
+        elif kind == "nonfinite":
+            B[0, -1] = np.nan
+        elif kind == "index":
+            index, error = tree.q + i, IndexError
+        else:
+            B = self.overflowing(i, adaptive and tree.config.adaptive)
+        if adaptive and not tree.config.adaptive:
+            error = ConfigurationError
+        drain()
+        before, ahead = self.saved(), tree._next
+        with pytest.raises(error), np.errstate(over="ignore", invalid="ignore"):
+            (tree.update_adaptive if adaptive else tree.update)(index, B)
+        assert self.saved() == before
+        assert tree._next is ahead  # a draw ahead stays for the retry
+
+    @rule()
+    def round_trip(self):
+        self.saved()
+        self.tree = TensorTree.load(self.dir / "tree.kttr")
+        self.ahead = None
+
+    @invariant()
+    def state_is_a_snapshot_of_itself(self):
+        drain()
+        tree = self.tree
+        self.saved()
+        loaded = TensorTree.load(self.dir / "tree.kttr")
+        for la, lb in zip(tree.levels, loaded.levels, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(la, lb, strict=True))
+        assert len(set(tree.draws)) == len(tree.draws) == 2 * tree.q - 1
+        assert tree.generation == loaded.generation == self.generation
+        # the slot changes only to the next index's draw
+        ahead = tree._next
+        assert ahead is None or ahead is self.ahead or ahead[0] == max(tree.draws) + 1
+        self.ahead = ahead
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["helper", "one-cpu"])
+def test_tree_state_machine(cpus, monkeypatch):
+    monkeypatch.setattr(tree_module, "_usable_cpus", lambda: cpus)
+    run_state_machine_as_test(TreeStateMachine, settings=settings(
+        max_examples=150, stateful_step_count=16, derandomize=True, deadline=None,
+        suppress_health_check=list(HealthCheck),
+    ))
