@@ -14,7 +14,7 @@ tree has long exposed (``levels``, ``draws``, ``generation``, ``save``,
 ``sketch_vector``, ``_leaf_spec``), so the outputs of two checkouts can be
 compared with ``diff``. Usage:
 
-    python3 scripts/tree_digests.py [--seed S] [--steps N] [--only NAME ...]
+    python3 scripts/tree_digests.py [--seed S] [--only NAME ...]
 """
 
 import argparse
@@ -38,6 +38,7 @@ from kronsketch.tree import TensorTree, TreeConfig
 
 M = 16  # factors have M + 1 .. M + 4 rows, so an overflowing update always exists
 LABEL_NNZ = 2 * 4096 + 5  # several chunks on every folded label path
+STEPS = 12  # steps in each sequence
 KINDS = ("adaptive", "adaptive", "static", "static", "shape", "nonfinite", "index", "overflow")
 
 
@@ -79,7 +80,7 @@ def outcome(fn, *args):
     return np.asarray(getattr(out, "Uk", out)).tobytes()
 
 
-def run(name: str, seed: int, steps: int, workdir: Path) -> str:
+def run(name: str, seed: int, workdir: Path) -> str:
     c, t, q, rows = name.split("-")
     rng = np.random.default_rng(seed)
     q = int(q[1:])
@@ -91,7 +92,7 @@ def run(name: str, seed: int, steps: int, workdir: Path) -> str:
     d = int(np.prod([f.shape[1] for f in factors]))
     spline = SplineSpec(np.eye(d), 0.5)
     digest, path = hashlib.sha256(), workdir / "tree.kttr"
-    for step in range(steps):
+    for step in range(STEPS):
         kind = KINDS[int(rng.integers(0, len(KINDS)))] if step else "adaptive"
         i = int(rng.integers(0, q))
         B = rng.standard_normal(tree.factors[i].shape)
@@ -128,7 +129,6 @@ def run(name: str, seed: int, steps: int, workdir: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--steps", type=int, default=12)
     parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these sequences")
     args = parser.parse_args(argv)
     modes = {
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
             for mode, (cpus, executor) in modes.items():
                 tree_module._usable_cpus, tree_module._worker = cpus, executor
                 try:
-                    print(f"{name}/{mode} {run(name, seed, args.steps, Path(workdir))}", flush=True)
+                    print(f"{name}/{mode} {run(name, seed, Path(workdir))}", flush=True)
                 finally:
                     tree_module._usable_cpus, tree_module._worker = usable_cpus, worker
                     tree_module._worker.submit(int).result()  # the helper's draws have landed

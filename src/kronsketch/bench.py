@@ -599,8 +599,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--resume-tree", dest="resume_tree",
                         help="rebuild the tree from a KTTR5 snapshot instead of "
                              "building it from --factors; --cbase/--tbase must "
-                             "match the snapshot, and m comes from it, so "
-                             "--eps/--delta/--cfactor do not apply")
+                             "match the snapshot, and m comes from it: "
+                             "--eps/--delta/--cfactor are still range-checked "
+                             "but do not set m")
     return parser
 
 

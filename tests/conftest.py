@@ -1,7 +1,9 @@
 import sys
 from pathlib import Path
 
-# Allow running pytest without installing the package first.
-src = Path(__file__).resolve().parent.parent / "src"
-if str(src) not in sys.path:
-    sys.path.insert(0, str(src))
+# Allow running pytest without installing the package first, and let tests
+# import the helpers of scripts/ (such as tree_digests) as modules.
+for path in ("src", "scripts"):
+    path = Path(__file__).resolve().parent.parent / path
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))

@@ -11,7 +11,6 @@ import threading
 import time
 import tracemalloc
 import weakref
-from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +53,7 @@ from kronsketch.tree import (
     _slots_above,
 )
 from sketch_oracles import materialize, materialize_sketch
+from tree_digests import InlineWorker, overflowing
 
 RNG = np.random.default_rng(314)
 
@@ -881,19 +881,6 @@ class TestLabelLanes:
         assert (done.stdout, done.stderr) == ("True\n", "")
 
 
-class InlineWorker:
-    """Stands in for the helper thread's executor: runs each task at submit."""
-
-    @staticmethod
-    def submit(fn, *args):
-        future = futures.Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 class TestDrawAhead:
     """A committed adaptive update has the helper thread draw the next path's specs."""
 
@@ -1415,16 +1402,6 @@ class TreeStateMachine(RuleBasedStateMachine):
             blocker.result(timeout=30)
         self.generation += 2
 
-    def overflowing(self, i, adaptive):
-        # every row of B signed as one output row of the leaf spec the update
-        # will use, so that row's sum leaves float range (rows > m)
-        tree = self.tree
-        n = self.factor(i).shape[0]
-        spec = tree._leaf_spec(n, max(tree.draws) + 1 if adaptive else tree.draws[i % tree.q])
-        C = base_columns(spec, np.arange(n))
-        row = C[np.abs(C).sum(axis=1).argmax()]
-        return 1.7e308 * np.sign(row)[:, None] * np.ones_like(self.factor(i))
-
     @rule(i=st.integers(0, 4), kind=st.sampled_from(["shape", "nonfinite", "index", "overflow"]),
           adaptive=st.booleans())
     def raising_update(self, i, kind, adaptive):
@@ -1437,7 +1414,7 @@ class TreeStateMachine(RuleBasedStateMachine):
         elif kind == "index":
             index, error = tree.q + i, IndexError
         else:
-            B = self.overflowing(i, adaptive and tree.config.adaptive)
+            B = overflowing(tree, index, adaptive and tree.config.adaptive)
         if adaptive and not tree.config.adaptive:
             error = ConfigurationError
         drain()
