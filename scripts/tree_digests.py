@@ -9,10 +9,13 @@ levels, the draw indices, the generation, the snapshot bytes, the sketch of
 a fixed sparse label and the answers (or error types) of the regression,
 spline and low-rank queries. Every sequence runs three ways: with the real
 helper thread, with an inline stand-in executor, and on one CPU, and each
-run prints one line, ``name/mode sha256``. The script reads only what the
-tree has long exposed (``levels``, ``draws``, ``generation``, ``save``,
-``sketch_vector``, ``_leaf_spec``), so the outputs of two checkouts can be
-compared with ``diff``. Usage:
+run prints one line with two digests, ``name/mode tree-sha256 label-sha256``:
+the first of the tree state (levels, draws, generation, snapshot bytes), the
+second of the label sketch and the query answers, so a change that regroups
+label sums shows apart from one that moves a tree. The script reads only
+what the tree has long exposed (``levels``, ``draws``, ``generation``,
+``save``, ``sketch_vector``, ``_leaf_spec``), so the outputs of two
+checkouts can be compared with ``diff``. Usage:
 
     python3 scripts/tree_digests.py [--seed S] [--only NAME ...]
 """
@@ -91,7 +94,7 @@ def run(name: str, seed: int, workdir: Path) -> str:
     label = SparseVector(n, rng.integers(0, n, size=LABEL_NNZ), rng.standard_normal(LABEL_NNZ))
     d = int(np.prod([f.shape[1] for f in factors]))
     spline = SplineSpec(np.eye(d), 0.5)
-    digest, path = hashlib.sha256(), workdir / "tree.kttr"
+    state, answers, path = hashlib.sha256(), hashlib.sha256(), workdir / "tree.kttr"
     for step in range(STEPS):
         kind = KINDS[int(rng.integers(0, len(KINDS)))] if step else "adaptive"
         i = int(rng.integers(0, q))
@@ -109,21 +112,21 @@ def run(name: str, seed: int, workdir: Path) -> str:
             with np.errstate(over="ignore", invalid="ignore"):
                 (tree.update_adaptive if adaptive else tree.update)(i, B)
         except (ValueError, IndexError) as exc:
-            digest.update(type(exc).__name__.encode())
+            state.update(type(exc).__name__.encode())
         tree.save(path)
-        digest.update(path.read_bytes())
-        digest.update(repr((tree.draws, tree.generation)).encode())
+        state.update(path.read_bytes())
+        state.update(repr((tree.draws, tree.generation)).encode())
         for level in tree.levels:
             for node in level:
-                digest.update(node.tobytes())
+                state.update(node.tobytes())
         b_sketch = tree.sketch_vector(label)
-        digest.update(b_sketch.tobytes())
+        answers.update(b_sketch.tobytes())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            digest.update(outcome(regression_query, tree, b_sketch))
-            digest.update(outcome(spline_query, tree, b_sketch, spline))
-            digest.update(outcome(lowrank_query, tree, 2))
-    return digest.hexdigest()
+            answers.update(outcome(regression_query, tree, b_sketch))
+            answers.update(outcome(spline_query, tree, b_sketch, spline))
+            answers.update(outcome(lowrank_query, tree, 2))
+    return f"{state.hexdigest()} {answers.hexdigest()}"
 
 
 def main(argv=None) -> int:

@@ -99,6 +99,14 @@ class SparseVector:
         np.add.at(out, self.indices, self.values)
         return out
 
+    def coalesced(self) -> "SparseVector":
+        """The same vector with sorted, unique indices: a stable sort keeps each
+        index's values in input order, and one ``np.add.reduceat`` sums them."""
+        order = np.argsort(self.indices, kind="stable")
+        idx = self.indices[order]
+        first = np.flatnonzero(np.diff(idx, prepend=-1))
+        return SparseVector(self.length, idx[first], np.add.reduceat(self.values[order], first))
+
 
 def as_sparse(b, length: int) -> SparseVector:
     """b, sparse or dense, as a SparseVector of this length; else DimensionError."""

@@ -71,9 +71,9 @@ class KronReduction:
 def kron_reduction(factors, b=None) -> KronReduction:
     """The reduction of the Kronecker product of ``factors`` and label b.
 
-    b is sparse or dense (duplicate indices sum), or None for R alone. The
-    cost is a thin QR per factor, a sort of b's nonzeros and one
-    ``kron_rows_dot``; nothing of size n is allocated.
+    b is sparse or dense (duplicate indices sum, by ``SparseVector.coalesced``),
+    or None for R alone. The cost is a thin QR per factor, a sort of b's
+    nonzeros and one ``kron_rows_dot``; nothing of size n is allocated.
     """
     mats = [as_matrix(f) for f in factors]
     if not mats:
@@ -85,13 +85,9 @@ def kron_reduction(factors, b=None) -> KronReduction:
     R = np.vstack([R, np.zeros((pad, R.shape[1]))])
     if b is None:
         return KronReduction(R, None, 0.0)
-    b = as_sparse(b, n)
-    order = np.argsort(b.indices, kind="stable")
-    idx = b.indices[order]
-    first = np.flatnonzero(np.diff(idx, prepend=-1))
-    idx, vals = idx[first], np.add.reduceat(b.values[order], first)
-    c = np.concatenate([kron_rows_dot([q for q, _ in qr], idx, vals), np.zeros(pad)])
-    return KronReduction(R, c, max(float(vals @ vals - c @ c), 0.0))
+    b = as_sparse(b, n).coalesced()
+    c = np.concatenate([kron_rows_dot([q for q, _ in qr], b.indices, b.values), np.zeros(pad)])
+    return KronReduction(R, c, max(float(b.values @ b.values - c @ c), 0.0))
 
 
 def exact_kron_regression(factors, b, *, reduction: KronReduction | None = None) -> OracleSolution:

@@ -430,14 +430,22 @@ class TensorTree:
         to add, so memory stays O(m chunk) at any nnz. Each lane keeps one
         ``HadamardWork`` for all its TensorSRHT transforms, so its buffers are
         allocated once, not per chunk and node, and freed at return.
+
+        A folded label of two or more chunks is first coalesced
+        (``SparseVector.coalesced``: indices sorted, each index's duplicates
+        summed), so its chunks, leaf columns and node work count its distinct
+        nonzeros, not the pairs it was built from: a label accumulated from
+        deltas repeats indices. A one-chunk label (such as one label delta)
+        is folded as given, so it pays no sort, and so is a bincount label,
+        which costs O(q nnz) already.
         """
         n_dims = [f.shape[0] for f in self.factors]
         sv = as_sparse(b, math.prod(n_dims))
         cfg = self.config
-        digits = np.unravel_index(sv.indices, n_dims)
         if cfg.c_family is BaseFamily.COUNT_SKETCH and (
             cfg.t_family is TensorFamily.TENSOR_SKETCH or self.q == 1
         ):
+            digits = np.unravel_index(sv.indices, n_dims)
             cols = [countsketch_columns(s, d) for s, d in zip(self.specs, digits)]
             for cols in _fold(cols, lambda slot, l, r: tensorsketch_cols(self.specs[slot], l, r)):
                 pass
@@ -449,6 +457,9 @@ class TensorTree:
         )
         leaf_columns = hash_columns if sparse_leaves else base_columns
         chunk = max(1, (2**16 if sparse_leaves else 2**15) // cfg.m)
+        if sv.nnz > chunk:  # fold each distinct nonzero once
+            sv = sv.coalesced()
+        digits = np.unravel_index(sv.indices, n_dims)
         parts = [slice(start, start + chunk) for start in range(0, sv.nnz, chunk)]
 
         def sketch_chunk(part, work):

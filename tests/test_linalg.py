@@ -448,6 +448,32 @@ class TestSparseVector:
         assert SparseVector(np.int64(3), [2], [1.0]).length == 3
         assert SparseVector(2**70, [2**62], [1.0]).length == 2**70
 
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.floats(-1e6, 1e6, width=64)), max_size=80),
+    )))
+    @example((1, []))
+    @example((3, [(2, 1.0), (0, -2.0), (2, 0.5), (2, 0.25)]))
+    @settings(max_examples=300, deadline=None)
+    def test_coalesced(self, case):
+        n, pairs = case
+        sv = SparseVector(n, [i for i, _ in pairs], [v for _, v in pairs])
+        out = sv.coalesced()
+        assert out.length == n
+        assert np.all(np.diff(out.indices) > 0)
+        # the same vector; np.add.at and reduceat group each index's sum differently
+        bound = sv.nnz * np.finfo(float).eps * np.abs(sv.values).sum()
+        assert np.allclose(out.to_dense(), sv.to_dense(), rtol=0, atol=bound)
+        again = out.coalesced()
+        assert np.array_equal(again.indices, out.indices)
+        assert np.array_equal(again.values, out.values)
+        # bit for bit the sort and dedupe that kron_reduction ran inline before
+        order = np.argsort(sv.indices, kind="stable")
+        idx = sv.indices[order]
+        first = np.flatnonzero(np.diff(idx, prepend=-1))
+        assert np.array_equal(out.indices, idx[first])
+        assert np.array_equal(out.values, np.add.reduceat(sv.values[order], first))
+
 
 class TestAsSparse:
     def test_sparse_and_dense_labels(self):

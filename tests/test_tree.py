@@ -26,7 +26,14 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from kronsketch.linalg import DimensionError, RegularizationError, SparseVector, kron, kron_chain
+from kronsketch.linalg import (
+    DimensionError,
+    HadamardWork,
+    RegularizationError,
+    SparseVector,
+    kron,
+    kron_chain,
+)
 from kronsketch.sketches import (
     BaseFamily,
     ConfigurationError,
@@ -771,9 +778,11 @@ class TestLabelLanes:
         folded = not (q == 1 and pair[0] is BaseFamily.COUNT_SKETCH)
         chunk, columns = self.chunk_rule(tree)
         # none, one nonzero, exactly one chunk, one chunk + 1, and five chunks
+        # of pairs; a label of several chunks is folded as its distinct nonzeros
         for nnz in (0, 1, chunk, chunk + 1, 4 * chunk + 3):
-            chunks = -(-nnz // chunk) if folded else 0
             sv = SparseVector(n, rng.integers(0, n, size=nnz), rng.standard_normal(nnz))
+            distinct = np.unique(sv.indices).size if nnz > chunk else nnz
+            chunks = -(-distinct // chunk) if folded else 0
             monkeypatch.setattr(tree_module, "_usable_cpus", lambda: 1)
             _, calls = self.gate_leaf_columns(monkeypatch, wait=False)
             serial = tree.sketch_vector(sv)
@@ -879,6 +888,89 @@ class TestLabelLanes:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert (done.stdout, done.stderr) == ("True\n", "")
+
+
+class TestLabelCoalescing:
+    """A folded label of several chunks is sketched as its distinct nonzeros; a
+    one-chunk label and a bincount label as given."""
+
+    M = 1024
+    ROWS = [140, 12, 6, 4, 3]  # rows per factor at q = 1..5: n >= 140 indices
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        # one lane, so the leaf-column calls come in chunk order
+        monkeypatch.setattr(tree_module, "_usable_cpus", lambda: 1)
+
+    @staticmethod
+    def record_leaf_columns(monkeypatch):
+        """Log (name, column count) of each call of the two leaf-column functions."""
+        calls = []
+
+        def record(name, columns):
+            def recorded(spec, rows):
+                calls.append((name, len(rows)))
+                return columns(spec, rows)
+
+            monkeypatch.setattr(tree_module, name, recorded)
+
+        record("base_columns", base_columns)
+        record("hash_columns", hash_columns)
+        return calls
+
+    def label_tree(self, pair, q, seed):
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal((self.ROWS[q - 1], 2)) for _ in range(q)]
+        return TensorTree(factors, TreeConfig(*pair, m=self.M, seed=seed)), rng
+
+    @staticmethod
+    def thrice(rng, n, distinct):
+        """A label of ``distinct`` nonzeros, each index given three times, shuffled."""
+        idx = rng.permutation(np.tile(rng.choice(n, size=distinct, replace=False), 3))
+        return SparseVector(n, idx, rng.standard_normal(idx.size))
+
+    @pytest.mark.parametrize("pair", FOLDED_PAIRS, ids=lambda p: "-".join(f.value for f in p))
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_repeats_fold_as_distinct_nonzeros(self, pair, q, monkeypatch):
+        tree, rng = self.label_tree(pair, q, 70 + q)
+        chunk, columns = TestLabelLanes.chunk_rule(tree)
+        sv = self.thrice(rng, tree.factors[0].shape[0] ** q, 2 * chunk + 3)  # 7 chunks of pairs
+        calls = self.record_leaf_columns(monkeypatch)
+        got = tree.sketch_vector(sv)
+        if not (q == 1 and pair[0] is BaseFamily.COUNT_SKETCH):  # a lone CountSketch: bincount
+            assert calls == [(columns, chunk)] * (2 * q) + [(columns, 3)] * q
+            calls.clear()
+            assert np.array_equal(tree.sketch_vector(sv.coalesced()), got)
+            assert calls == [(columns, chunk)] * (2 * q) + [(columns, 3)] * q
+        bound = 1e-14 * np.abs(sv.values).sum()
+        assert np.allclose(got, folded_label(tree, sv), rtol=0, atol=bound)
+        assert np.allclose(got, materialize_sketch(tree) @ sv.to_dense(), rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("pair", FOLDED_PAIRS, ids=lambda p: "-".join(f.value for f in p))
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_one_chunk_label_is_folded_as_given(self, pair, q, monkeypatch):
+        tree, rng = self.label_tree(pair, q, 80 + q)
+        chunk, columns = TestLabelLanes.chunk_rule(tree)
+        sv = self.thrice(rng, tree.factors[0].shape[0] ** q, chunk // 3)
+        calls = self.record_leaf_columns(monkeypatch)
+        got = tree.sketch_vector(sv)
+        assert calls == [(columns, sv.nnz)] * q
+        # the rule for one chunk: its pairs' leaf columns folded up the tree at once
+        leaf_columns = {"base_columns": base_columns, "hash_columns": hash_columns}[columns]
+        digits = np.unravel_index(sv.indices, [f.shape[0] for f in tree.factors])
+        work = HadamardWork()
+        mats = [leaf_columns(s, d) for s, d in zip(tree.specs, digits)]
+        for mats in _fold(mats, lambda slot, l, r: apply_tensor_cols(tree.specs[slot], l, r,
+                                                                     work=work)):
+            pass
+        assert np.array_equal(got, mats[0] @ sv.values)
+
+    def test_bincount_label_is_not_coalesced(self, monkeypatch):
+        tree, rng = self.label_tree(FAMILY_PAIRS[0], 3, 90)
+        sv = self.thrice(rng, 6**3, 200)
+        expected = tree.sketch_vector(sv)
+        monkeypatch.setattr(SparseVector, "coalesced", None)  # a call would raise
+        assert np.array_equal(tree.sketch_vector(sv), expected)
 
 
 class TestDrawAhead:

@@ -18,5 +18,7 @@ def test_two_sequences_twice_give_the_same_digests():
     assert first == run()
     assert [line.split()[0] for line in first] == [
         f"{name}/{mode}" for name in NAMES for mode in ("helper", "inline", "one-cpu")]
-    # the helper, the inline executor and one CPU give one tree, bit for bit
+    # the helper, the inline executor and one CPU give one tree, bit for bit,
+    # and one label sketch and set of answers
     assert len({line.split()[1] for line in first}) == len(NAMES)
+    assert len({line.split()[2] for line in first}) == len(NAMES)
