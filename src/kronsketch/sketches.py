@@ -469,7 +469,9 @@ def to_frame(spec: BaseSketchSpec | TensorSketchSpec, Y) -> np.ndarray:
     return out
 
 
-def apply_tensor_pair(spec: TensorSketchSpec, J1, J2, *, frame: bool = False) -> np.ndarray:
+def apply_tensor_pair(
+    spec: TensorSketchSpec, J1, J2, *, frame: bool = False, sides: list | None = None
+) -> np.ndarray:
     """Sketch every Kronecker column pair of J1 and J2.
 
     Output column (c1, c2), stored at index c1 * J2.cols + c2, equals the
@@ -481,6 +483,12 @@ def apply_tensor_pair(spec: TensorSketchSpec, J1, J2, *, frame: bool = False) ->
     ``to_frame(spec, apply_tensor_pair(spec, J1, J2))`` up to rounding. For
     TensorSketch that skips the inverse rfft; for TensorSRHT it changes
     nothing.
+
+    ``sides``, if given, is a two-item list holding the transform of J1 and
+    of J2 (``_tensor_side``), or None for one to compute; each computed
+    transform is stored into it. So a caller that keeps the list can pass a
+    side back for a later call whose input on that side is the same under
+    the same spec, and skip its transform: a kept side is used as it is.
     """
     J1 = as_matrix(J1)
     J2 = as_matrix(J2)
@@ -492,7 +500,12 @@ def apply_tensor_pair(spec: TensorSketchSpec, J1, J2, *, frame: bool = False) ->
     c1, c2 = J1.shape[1], J2.shape[1]
     if m_out * c1 * c2 > MAX_ELEMENTS:
         raise DimensionError("tensor sketch output exceeds element limit")
-    left, right = _tensor_side(spec, J1, 0), _tensor_side(spec, J2, 1)
+    if sides is None:
+        sides = [None, None]
+    for k, J in enumerate((J1, J2)):
+        if sides[k] is None:
+            sides[k] = _tensor_side(spec, J, k)
+    left, right = sides
     if frame and spec.family is TensorFamily.TENSOR_SKETCH:
         w = _fourier_weights(m_out)[:left.shape[0], None]
         prod = (left * w)[:, :, None] * right[:, None, :]

@@ -9,7 +9,8 @@ promoted unchanged (order-preserving, so the implied composite sketch is
 still a linear map on the full Kronecker ordering). The root is an m x d
 sketch of the whole chain, d being the product of the factor column counts.
 Each node has a slot, numbered as the pairing makes them (``_fold``): the
-leaves first, the root last. ``specs``, ``draws`` and ``nodes`` are in slot order.
+leaves first, the root last. ``specs``, ``draws``, ``nodes`` and ``sides`` are
+in slot order.
 
 The root is given in its spec's orthonormal output frame Q
 (``sketches.to_frame``): a TensorSketch root is Q M, M the pair's
@@ -23,7 +24,12 @@ one-leaf trees have the identity frame.
 Updating factor i re-sketches leaf i and recomputes the slots above it
 (``_slots_above``) from their two children, keeping every other node, so
 each node is always what a fresh build computes from its spec and children.
-Nothing is committed until the new root is finite: an update that raises
+A paired node is the product of two side transforms, each a function of one
+child and the node's spec alone, and ``sides`` keeps that pair per slot. On
+a static update's path only one child of each slot has changed, so the slot
+transforms that child and reuses the other's kept side; a slot under a new
+spec (build, load, an adaptive path) transforms both. Nothing, ``sides``
+included, is committed until the new root is finite: an update that raises
 leaves the tree as it was.
 
 A build gives slot j's spec the draw index j (``_draw_seed``). In adaptive
@@ -216,7 +222,9 @@ class TensorTree:
     Factor matrices are stored in full: an update re-sketches the updated
     factor, and the factored low-rank output hands them back to the caller.
     Every node has one slot (see ``_fold``): ``specs[j]``, ``draws[j]`` and
-    ``nodes[j]`` are its spec, draw index and matrix. Treat them as read-only.
+    ``nodes[j]`` are its spec, draw index and matrix, and ``sides[j]`` is the
+    pair of side transforms a paired node was combined from (None at a leaf).
+    Treat them as read-only.
     """
 
     def __init__(self, factors, config: TreeConfig):
@@ -280,7 +288,8 @@ class TensorTree:
 
     @property
     def node_count(self) -> int:
-        return sum(len(level) for level in self.levels)
+        """Number of nodes, 2q - 1: a promoted node counts once."""
+        return len(self.nodes)
 
     # ------------------------------------------------------------------
     # spec drawing
@@ -332,26 +341,34 @@ class TensorTree:
 
     def _refold(self, dirty, factors, specs) -> None:
         """Recompute the ``dirty`` leaves and the nodes above them, reusing the rest,
-        and store the result only once the new root is known to be finite."""
+        and store the result only once the new root is known to be finite. A
+        node under its stored spec takes an unchanged child's kept side."""
         leaves = [
-            apply_base(specs[i], f) if i in dirty else self.nodes[i]
+            (apply_base(specs[i], f), True) if i in dirty else (self.nodes[i], False)
             for i, f in enumerate(factors)
         ]
-        nodes, above, root = list(leaves), set(_slots_above(len(leaves), dirty)), len(specs) - 1
+        nodes, sides, root = [leaf for leaf, _ in leaves], [None] * len(leaves), len(specs) - 1
 
         def combine(slot, left, right):
-            if slot in above:
-                node = apply_tensor_pair(specs[slot], left, right, frame=slot == root)
+            (left, new_left), (right, new_right) = left, right
+            if new_left or new_right:
+                pair = [None, None]
+                if not (new_left and new_right) and specs[slot] is self.specs[slot]:
+                    kept = self.sides[slot]
+                    pair = [None if new_left else kept[0], None if new_right else kept[1]]
+                node = apply_tensor_pair(specs[slot], left, right, frame=slot == root, sides=pair)
+                pair = tuple(pair)
             else:
-                node = self.nodes[slot]
+                node, pair = self.nodes[slot], self.sides[slot]
             nodes.append(node)
-            return node
+            sides.append(pair)
+            return node, new_left or new_right
 
         for _ in _fold(leaves, combine):
             pass
         if not np.isfinite(nodes[-1]).all():
             raise ValueError("root sketch has non-finite entries")
-        self.factors, self.specs, self.nodes = factors, specs, nodes
+        self.factors, self.specs, self.nodes, self.sides = factors, specs, nodes, sides
 
     # ------------------------------------------------------------------
     # updates

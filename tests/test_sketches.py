@@ -341,6 +341,27 @@ class TestApplyAgainstMaterialize:
         )
         assert np.allclose(out, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("frame", [False, True])
+    @pytest.mark.parametrize("spec", TENSOR_SPECS)
+    def test_tensor_pair_kept_sides(self, spec, frame):
+        J1 = RNG.standard_normal((spec.side_dim, 3))
+        J2 = RNG.standard_normal((spec.side_dim, 2))
+        out = apply_tensor_pair(spec, J1, J2, frame=frame)
+        # computed sides are handed back, bit for bit each input's transform
+        sides = [None, None]
+        assert np.array_equal(apply_tensor_pair(spec, J1, J2, frame=frame, sides=sides), out)
+        for k, J in enumerate((J1, J2)):
+            assert np.array_equal(sides[k], _tensor_side(spec, J, k))
+        # a kept side is used as given: its input is not transformed again
+        for k in (0, 1):
+            kept = [None, None]
+            kept[k] = sides[k]
+            assert np.array_equal(apply_tensor_pair(spec, J1, J2, frame=frame, sides=kept), out)
+            assert kept[k] is sides[k] and np.array_equal(kept[1 - k], sides[1 - k])
+            kept[1 - k] = None
+            wrong = apply_tensor_pair(spec, 2 * J1, 2 * J2, frame=frame, sides=kept)
+            assert np.allclose(wrong, 2 * out, atol=1e-10)  # only the other side doubled
+
     @pytest.mark.parametrize("p", [1, 2, 8, 32, 64, 1000, 1024])
     def test_tsrht_side_column_independent_of_width(self, p):
         # the matched-column and pair combines see a column with different

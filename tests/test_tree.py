@@ -40,6 +40,7 @@ from kronsketch.sketches import (
     TensorFamily,
     _base_internals,
     _tensor_internals,
+    _tensor_side,
     apply_base,
     apply_tensor_cols,
     apply_tensor_pair,
@@ -48,6 +49,7 @@ from kronsketch.sketches import (
     hash_columns,
     to_frame,
 )
+from kronsketch import sketches as sketches_module
 from kronsketch import solvers
 from kronsketch import tree as tree_module
 from kronsketch.tree import (
@@ -116,9 +118,41 @@ def check_node_invariants(tree, tol=1e-10):
 
 def check_nodes_exact(tree):
     """Every node is bit for bit the sketch of its stored spec and children,
-    the root in its frame."""
+    the root in its frame, and keeps the sides it was combined from."""
     for node, expected in expected_nodes(tree):
         assert np.array_equal(node, expected)
+    check_sides_exact(tree)
+
+
+def check_sides_exact(tree):
+    """Each paired slot keeps, bit for bit, the side transforms of its current
+    children under its current spec; a leaf keeps none."""
+    assert len(tree.sides) == len(tree.nodes) and tree.sides[:tree.q] == [None] * tree.q
+
+    def combine(slot, left, right):
+        kept = tree.sides[slot]
+        assert len(kept) == 2
+        for k, child in enumerate((left, right)):
+            assert np.array_equal(kept[k], _tensor_side(tree.specs[slot], child, k)), (slot, k)
+        return tree.nodes[slot]
+
+    for _ in _fold(tree.nodes[:tree.q], combine):
+        pass
+
+
+def changed_sides(q, i):
+    """Per slot above leaf i, bottom-up, the side (0 left, 1 right) whose child
+    holds leaf i: a promoted node carries its leaf up unchanged."""
+    sides = []
+
+    def combine(slot, left, right):
+        if left or right:
+            sides.append(0 if left else 1)
+        return left or right
+
+    for _ in _fold([j == i for j in range(q)], combine):
+        pass
+    return sides
 
 
 def tree_state(tree):
@@ -169,6 +203,13 @@ class TestInitialize:
     def test_invariants_after_init(self, q):
         tree = TensorTree(random_factors(q), TreeConfig(m=9, seed=q))
         check_node_invariants(tree)
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_node_count_is_the_slot_count(self, q):
+        # a promoted node is one slot, however many levels it is carried through
+        tree = TensorTree([np.eye(3)] * q, TreeConfig(m=4, seed=q))
+        assert tree.node_count == len(tree.nodes) == 2 * q - 1
+        assert len(tree.specs) == len(tree.draws) == len(tree.sides) == 2 * q - 1
 
     def test_empty_factor_rejected(self):
         with pytest.raises(DimensionError):
@@ -475,6 +516,30 @@ class TestFailedUpdate:
         tree.update(i, rng.standard_normal((2, 2)))
         check_nodes_exact(tree)
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("pair", FAMILY_PAIRS)
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_root_overflow_commits_no_side(self, pair, q, adaptive):
+        # finite children whose product leaves float range: the refold reaches
+        # the finite-root check with every side on its path computed, and
+        # must drop them with the nodes
+        rng = np.random.default_rng(50 + q)
+        factors = [rng.standard_normal((10, 2)) for _ in range(q)]
+        tree = TensorTree(factors, TreeConfig(*pair, m=8, adaptive=adaptive, seed=50 + q))
+        tree.update(0, 1e200 * factors[0])
+        update = tree.update_adaptive if adaptive else tree.update
+        drain()
+        before, nodes, sides = tree_state(tree), list(tree.nodes), list(tree.sides)
+        with pytest.raises(ValueError, match="root sketch"), np.errstate(over="ignore", invalid="ignore"):
+            update(q - 1, 1e200 * factors[q - 1])
+        assert_same_state(before, tree_state(tree))
+        for now, then in ((tree.nodes, nodes), (tree.sides, sides)):
+            assert len(now) == len(then) and all(a is b for a, b in zip(now, then))
+        check_nodes_exact(tree)
+        for i in range(q):  # later updates reuse the kept sides
+            update(i, rng.standard_normal((10, 2)))
+            check_nodes_exact(tree)
+
     @pytest.mark.parametrize("pair", FAMILY_PAIRS)
     def test_frame_column_norm_boundary(self, pair):
         # no irfft of the root is ever run, so a finite root commits whatever
@@ -502,6 +567,48 @@ class TestFailedUpdate:
             pass
         else:
             assert np.isfinite(x).all()
+
+
+class TestKeptSides:
+    """A static update transforms only the changed child's side at each slot
+    on its path; a build, a load and an adaptive update transform both."""
+
+    @staticmethod
+    def count_sides(monkeypatch):
+        calls = []
+        side = sketches_module._tensor_side
+
+        def counted(spec, U, k, work=None):
+            calls.append(k)
+            return side(spec, U, k, work)
+
+        monkeypatch.setattr(sketches_module, "_tensor_side", counted)
+        return calls
+
+    @pytest.mark.parametrize("pair", FAMILY_PAIRS)
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_side_transforms_per_call(self, pair, q, monkeypatch, tmp_path):
+        calls = self.count_sides(monkeypatch)
+        rng = np.random.default_rng(60 + q)
+        factors = [rng.standard_normal((5, 2)) for _ in range(q)]
+        tree = TensorTree(factors, TreeConfig(*pair, m=4, adaptive=True, seed=60 + q))
+        assert calls == [0, 1] * (q - 1)  # each side of each paired slot once
+        for i in range(q):
+            path = _slots_above(q, {i})
+            calls.clear()
+            tree.update(i, rng.standard_normal((5, 2)))
+            # one per slot, the changed child's: a promoted leaf is one
+            assert calls == changed_sides(q, i) and len(calls) == len(path)
+            check_nodes_exact(tree)
+            calls.clear()
+            tree.update_adaptive(i, rng.standard_normal((5, 2)))
+            assert calls == [0, 1] * len(path)  # new specs: no side to reuse
+            check_nodes_exact(tree)
+        tree.save(tmp_path / "tree.kttr")
+        calls.clear()
+        loaded = TensorTree.load(tmp_path / "tree.kttr")
+        assert calls == [0, 1] * (q - 1)
+        check_nodes_exact(loaded)
 
 
 class TestRootFrame:
@@ -1511,10 +1618,14 @@ class TreeStateMachine(RuleBasedStateMachine):
             error = ConfigurationError
         drain()
         before, ahead = self.saved(), tree._next
+        nodes, sides = list(tree.nodes), list(tree.sides)
         with pytest.raises(error), np.errstate(over="ignore", invalid="ignore"):
             (tree.update_adaptive if adaptive else tree.update)(index, B)
         assert self.saved() == before
         assert tree._next is ahead  # a draw ahead stays for the retry
+        # the very node and side objects: nothing of the refold was committed
+        for now, then in ((tree.nodes, nodes), (tree.sides, sides)):
+            assert len(now) == len(then) and all(a is b for a, b in zip(now, then))
 
     @rule()
     def round_trip(self):
@@ -1536,6 +1647,10 @@ class TreeStateMachine(RuleBasedStateMachine):
         ahead = tree._next
         assert ahead is None or ahead is self.ahead or ahead[0] == max(tree.draws) + 1
         self.ahead = ahead
+
+    @invariant()
+    def sides_are_the_children_transforms(self):
+        check_sides_exact(self.tree)
 
 
 @pytest.mark.parametrize("cpus", [2, 1], ids=["helper", "one-cpu"])
